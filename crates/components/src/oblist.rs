@@ -32,6 +32,28 @@ fn bad_link(method: &str, e: BadLink) -> TestException {
     TestException::domain(method, e.to_string())
 }
 
+/// The class attributes of a [`CObList`] that `Var` replacements may
+/// read, copied out where a method's use-site environment is defined so
+/// that later writes to the list cannot change what a site sees.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Globals {
+    count: i64,
+    head: i64,
+    tail: i64,
+    block_size: i64,
+}
+
+impl Globals {
+    /// The attributes as the globals of a use-site environment.
+    pub(crate) fn env(self) -> VarEnv {
+        VarEnv::new()
+            .bind("m_nCount", self.count)
+            .bind("m_pNodeHead", self.head)
+            .bind("m_pNodeTail", self.tail)
+            .bind("m_nBlockSize", self.block_size)
+    }
+}
+
 /// The `CObList` component: MFC-style doubly linked list of [`Value`]s.
 #[derive(Debug)]
 pub struct CObList {
@@ -75,17 +97,15 @@ impl CObList {
         }
     }
 
-    /// `m_nBlockSize`, for subclass instrumentation envs.
-    pub fn block_size(&self) -> i64 {
-        self.block_size
-    }
-
-    fn globals_env(&self) -> VarEnv {
-        VarEnv::new()
-            .bind("m_nCount", self.count)
-            .bind("m_pNodeHead", self.head)
-            .bind("m_pNodeTail", self.tail)
-            .bind("m_nBlockSize", self.block_size)
+    /// The attributes instrumented reads may substitute, for this class's
+    /// and subclasses' use-site environments.
+    pub(crate) fn globals(&self) -> Globals {
+        Globals {
+            count: self.count,
+            head: self.head,
+            tail: self.tail,
+            block_size: self.block_size,
+        }
     }
 
     /// `m_nCount` as seen by subclasses and reporters.
@@ -96,16 +116,6 @@ impl CObList {
     /// True when the list is empty.
     pub fn is_empty_list(&self) -> bool {
         self.count == 0
-    }
-
-    /// Head link (`m_pNodeHead`), for subclass instrumentation envs.
-    pub fn head_link(&self) -> i64 {
-        self.head
-    }
-
-    /// Tail link (`m_pNodeTail`), for subclass instrumentation envs.
-    pub fn tail_link(&self) -> i64 {
-        self.tail
     }
 
     /// Values front-to-back, or `None` when the chain is corrupt.
@@ -182,27 +192,32 @@ impl CObList {
         const M: &str = "AddHead";
         let p_new_node = self.arena.alloc(value);
         let p_old_head = self.head;
-        let env = self
-            .globals_env()
-            .bind("pNewNode", p_new_node)
-            .bind("pOldHead", p_old_head);
+        // The closure copies the globals and locals as they are here; the
+        // surgery below rewrites the attributes before the last read.
+        let globals = self.globals();
+        let env = move || {
+            globals
+                .env()
+                .bind("pNewNode", p_new_node)
+                .bind("pOldHead", p_old_head)
+        };
         // Site 0: the new node's next link ← pOldHead.
-        let next_link = self.switch.read_int(M, 0, "pOldHead", p_old_head, &env);
+        let next_link = self.switch.read_int(M, 0, "pOldHead", p_old_head, env);
         self.arena
             .set_next(p_new_node, next_link)
             .map_err(|e| bad_link(M, e))?;
         if p_old_head != NIL {
             // Site 1: the old head's prev link ← pNewNode.
-            let prev_link = self.switch.read_int(M, 1, "pNewNode", p_new_node, &env);
+            let prev_link = self.switch.read_int(M, 1, "pNewNode", p_new_node, env);
             self.arena
                 .set_prev(p_old_head, prev_link)
                 .map_err(|e| bad_link(M, e))?;
         } else {
             // Site 2: the tail update when the list was empty.
-            self.tail = self.switch.read_int(M, 2, "pNewNode", p_new_node, &env);
+            self.tail = self.switch.read_int(M, 2, "pNewNode", p_new_node, env);
         }
         // Site 3: the head update.
-        self.head = self.switch.read_int(M, 3, "pNewNode", p_new_node, &env);
+        self.head = self.switch.read_int(M, 3, "pNewNode", p_new_node, env);
         self.count += 1;
         Ok(())
     }
@@ -221,16 +236,19 @@ impl CObList {
         let p_old_head = self.head;
         let p_next = self.arena.next(p_old_head).map_err(|e| bad_link(M, e))?;
         let n_new_count = self.count - 1;
-        let env = self
-            .globals_env()
-            .bind("pOldHead", p_old_head)
-            .bind("pNext", p_next)
-            .bind("nNewCount", n_new_count);
+        let globals = self.globals();
+        let env = move || {
+            globals
+                .env()
+                .bind("pOldHead", p_old_head)
+                .bind("pNext", p_next)
+                .bind("nNewCount", n_new_count)
+        };
         // Site 0: which node to free.
-        let to_free = self.switch.read_int(M, 0, "pOldHead", p_old_head, &env);
+        let to_free = self.switch.read_int(M, 0, "pOldHead", p_old_head, env);
         let value = self.arena.free(to_free).map_err(|e| bad_link(M, e))?;
         // Site 1: the new head.
-        self.head = self.switch.read_int(M, 1, "pNext", p_next, &env);
+        self.head = self.switch.read_int(M, 1, "pNext", p_next, env);
         if self.head == NIL {
             self.tail = NIL;
         } else {
@@ -239,7 +257,7 @@ impl CObList {
                 .map_err(|e| bad_link(M, e))?;
         }
         // Site 2: the count update.
-        self.count = self.switch.read_int(M, 2, "nNewCount", n_new_count, &env);
+        self.count = self.switch.read_int(M, 2, "nNewCount", n_new_count, env);
         Ok(value)
     }
 
@@ -259,13 +277,14 @@ impl CObList {
         let mut i = 0i64;
         let mut fuel = WATCHDOG;
         loop {
-            let env = self.globals_env().bind("i", i).bind("pCur", p_cur);
+            let globals = self.globals();
+            let env = move || globals.env().bind("i", i).bind("pCur", p_cur);
             // Site 0: the loop comparison on i.
-            if self.switch.read_int(M, 0, "i", i, &env) >= index {
+            if self.switch.read_int(M, 0, "i", i, env) >= index {
                 break;
             }
             // Site 1: the traversal read of pCur.
-            let step_from = self.switch.read_int(M, 1, "pCur", p_cur, &env);
+            let step_from = self.switch.read_int(M, 1, "pCur", p_cur, env);
             p_cur = self.arena.next(step_from).map_err(|e| bad_link(M, e))?;
             if p_cur == NIL {
                 return Err(TestException::domain(M, "ran off the end of the list"));
@@ -278,16 +297,19 @@ impl CObList {
         }
         let p_prev = self.arena.prev(p_cur).map_err(|e| bad_link(M, e))?;
         let p_next = self.arena.next(p_cur).map_err(|e| bad_link(M, e))?;
-        let env = self
-            .globals_env()
-            .bind("i", i)
-            .bind("pCur", p_cur)
-            .bind("pPrev", p_prev)
-            .bind("pNext", p_next);
+        let globals = self.globals();
+        let env = move || {
+            globals
+                .env()
+                .bind("i", i)
+                .bind("pCur", p_cur)
+                .bind("pPrev", p_prev)
+                .bind("pNext", p_next)
+        };
         // Site 2: the prev side of the unlink.
-        let unlink_prev = self.switch.read_int(M, 2, "pPrev", p_prev, &env);
+        let unlink_prev = self.switch.read_int(M, 2, "pPrev", p_prev, env);
         // Site 3: the next side of the unlink.
-        let unlink_next = self.switch.read_int(M, 3, "pNext", p_next, &env);
+        let unlink_next = self.switch.read_int(M, 3, "pNext", p_next, env);
         if unlink_prev == NIL {
             self.head = unlink_next;
         } else {
@@ -303,7 +325,7 @@ impl CObList {
                 .map_err(|e| bad_link(M, e))?;
         }
         // Site 4: which node to free.
-        let to_free = self.switch.read_int(M, 4, "pCur", p_cur, &env);
+        let to_free = self.switch.read_int(M, 4, "pCur", p_cur, env);
         let value = self.arena.free(to_free).map_err(|e| bad_link(M, e))?;
         self.count -= 1;
         Ok(value)

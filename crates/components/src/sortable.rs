@@ -12,7 +12,7 @@
 use crate::oblist::{coblist_inventory, CObList, WATCHDOG};
 use concat_bit::{BitControl, BuiltInTest, ComponentFactory, StateReport, TestableComponent};
 use concat_driver::InheritanceMap;
-use concat_mutation::{ClassInventory, ClonableFactory, MethodInventory, MutationSwitch, VarEnv};
+use concat_mutation::{ClassInventory, ClonableFactory, MethodInventory, MutationSwitch};
 use concat_runtime::{
     args, unknown_method, AssertionViolation, Component, InvokeResult, TestException, Value,
 };
@@ -170,14 +170,6 @@ impl CSortableObList {
         &self.base
     }
 
-    fn globals_env(&self) -> VarEnv {
-        VarEnv::new()
-            .bind("m_nCount", self.base.count())
-            .bind("m_pNodeHead", self.base.head_link())
-            .bind("m_pNodeTail", self.base.tail_link())
-            .bind("m_nBlockSize", self.base.block_size())
-    }
-
     fn load_values(&self, method: &str) -> Result<Vec<Value>, TestException> {
         self.base
             .values()
@@ -218,27 +210,29 @@ impl CSortableObList {
         let n = vals.len() as i64;
         let mut i = 0i64;
         let mut fuel = WATCHDOG;
+        // The sort works on `vals`; the attributes stay put until write-back.
+        let globals = self.base.globals();
         loop {
-            let env = self.globals_env().bind("n", n).bind("i", i);
+            let env = move || globals.env().bind("n", n).bind("i", i);
             // Site 0: outer loop comparison on i.
-            if self.switch.read_int(M, 0, "i", i, &env) >= n {
+            if self.switch.read_int(M, 0, "i", i, env) >= n {
                 break;
             }
             let mut j = 0i64;
             loop {
-                let env = self.globals_env().bind("n", n).bind("i", i).bind("j", j);
+                let env = move || globals.env().bind("n", n).bind("i", i).bind("j", j);
                 // Site 1: inner loop bound (n - i - 1) read through i.
-                let bound = n - self.switch.read_int(M, 1, "i", i, &env) - 1;
+                let bound = n - self.switch.read_int(M, 1, "i", i, env) - 1;
                 if j >= bound {
                     break;
                 }
                 // Site 2: the left index of the compared pair.
-                let left = self.switch.read_int(M, 2, "j", j, &env);
+                let left = self.switch.read_int(M, 2, "j", j, env);
                 let a = at(M, &vals, left)?.clone();
                 let b = at(M, &vals, left + 1)?.clone();
                 if a.total_cmp(&b) == std::cmp::Ordering::Greater {
                     // Site 3: the swap position.
-                    let swap_at = self.switch.read_int(M, 3, "j", j, &env);
+                    let swap_at = self.switch.read_int(M, 3, "j", j, env);
                     *at_mut(M, &mut vals, swap_at)? = b;
                     *at_mut(M, &mut vals, swap_at + 1)? = a;
                 }
@@ -249,7 +243,7 @@ impl CSortableObList {
                 }
             }
             // Site 4: the outer increment source.
-            i = self.switch.read_int(M, 4, "i", i, &env) + 1;
+            i = self.switch.read_int(M, 4, "i", i, env) + 1;
             fuel -= 1;
             if fuel == 0 {
                 return Err(TestException::domain(M, "watchdog: loop budget exceeded"));
@@ -280,28 +274,31 @@ impl CSortableObList {
         let n = vals.len() as i64;
         let mut i = 0i64;
         let mut fuel = WATCHDOG;
+        let globals = self.base.globals();
         loop {
-            let env = self.globals_env().bind("n", n).bind("i", i);
+            let env = move || globals.env().bind("n", n).bind("i", i);
             // Site 0: outer loop comparison on i.
-            if self.switch.read_int(M, 0, "i", i, &env) >= n {
+            if self.switch.read_int(M, 0, "i", i, env) >= n {
                 break;
             }
             // Site 1: the initial minimum candidate.
-            let mut min_idx = self.switch.read_int(M, 1, "i", i, &env);
+            let mut min_idx = self.switch.read_int(M, 1, "i", i, env);
             let mut j = i + 1;
             loop {
-                let env = self
-                    .globals_env()
-                    .bind("n", n)
-                    .bind("i", i)
-                    .bind("j", j)
-                    .bind("minIdx", min_idx);
+                let env = move || {
+                    globals
+                        .env()
+                        .bind("n", n)
+                        .bind("i", i)
+                        .bind("j", j)
+                        .bind("minIdx", min_idx)
+                };
                 // Site 2: inner loop comparison on j.
-                if self.switch.read_int(M, 2, "j", j, &env) >= n {
+                if self.switch.read_int(M, 2, "j", j, env) >= n {
                     break;
                 }
                 // Site 3: the candidate index compared against the minimum.
-                let cand = self.switch.read_int(M, 3, "j", j, &env);
+                let cand = self.switch.read_int(M, 3, "j", j, env);
                 if at(M, &vals, cand)?.total_cmp(at(M, &vals, min_idx)?) == std::cmp::Ordering::Less
                 {
                     min_idx = cand;
@@ -313,14 +310,16 @@ impl CSortableObList {
                 }
             }
             if min_idx != i {
-                let env = self
-                    .globals_env()
-                    .bind("n", n)
-                    .bind("i", i)
-                    .bind("j", j)
-                    .bind("minIdx", min_idx);
+                let env = move || {
+                    globals
+                        .env()
+                        .bind("n", n)
+                        .bind("i", i)
+                        .bind("j", j)
+                        .bind("minIdx", min_idx)
+                };
                 // Site 4: the swap target.
-                let target = self.switch.read_int(M, 4, "i", i, &env);
+                let target = self.switch.read_int(M, 4, "i", i, env);
                 let a = at(M, &vals, target)?.clone();
                 let b = at(M, &vals, min_idx)?.clone();
                 *at_mut(M, &mut vals, target)? = b;
@@ -357,41 +356,40 @@ impl CSortableObList {
         let n = vals.len() as i64;
         let mut gap = n / 2;
         let mut fuel = WATCHDOG;
+        let globals = self.base.globals();
         loop {
-            let env = self.globals_env().bind("n", n).bind("gap", gap);
+            let env = move || globals.env().bind("n", n).bind("gap", gap);
             // Site 0: the gap-loop guard.
-            if self.switch.read_int(M, 0, "gap", gap, &env) <= 0 {
+            if self.switch.read_int(M, 0, "gap", gap, env) <= 0 {
                 break;
             }
             let mut i = gap;
             loop {
-                let env = self
-                    .globals_env()
-                    .bind("n", n)
-                    .bind("gap", gap)
-                    .bind("i", i);
+                let env = move || globals.env().bind("n", n).bind("gap", gap).bind("i", i);
                 // Site 1: the scan comparison on i.
-                if self.switch.read_int(M, 1, "i", i, &env) >= n {
+                if self.switch.read_int(M, 1, "i", i, env) >= n {
                     break;
                 }
                 // Site 2: the element lifted out.
-                let lifted_idx = self.switch.read_int(M, 2, "i", i, &env);
+                let lifted_idx = self.switch.read_int(M, 2, "i", i, env);
                 let lifted = at(M, &vals, lifted_idx)?.clone();
                 let mut j = i;
                 loop {
-                    let env = self
-                        .globals_env()
-                        .bind("n", n)
-                        .bind("gap", gap)
-                        .bind("i", i)
-                        .bind("j", j);
+                    let env = move || {
+                        globals
+                            .env()
+                            .bind("n", n)
+                            .bind("gap", gap)
+                            .bind("i", i)
+                            .bind("j", j)
+                    };
                     // Site 3: the insertion-loop comparison on j.
-                    let jj = self.switch.read_int(M, 3, "j", j, &env);
+                    let jj = self.switch.read_int(M, 3, "j", j, env);
                     if jj < gap {
                         break;
                     }
                     // Site 4: the compared slot (j - gap).
-                    let back = self.switch.read_int(M, 4, "j", j, &env) - gap;
+                    let back = self.switch.read_int(M, 4, "j", j, env) - gap;
                     if at(M, &vals, back)?.total_cmp(&lifted) != std::cmp::Ordering::Greater {
                         break;
                     }
@@ -403,8 +401,9 @@ impl CSortableObList {
                         return Err(TestException::domain(M, "watchdog: loop budget exceeded"));
                     }
                 }
-                // Site 5: the landing slot.
-                let landing = self.switch.read_int(M, 5, "j", j, &env);
+                // Site 5: the landing slot, read through the scan-level
+                // environment, which binds no `j`.
+                let landing = self.switch.read_int(M, 5, "j", j, env);
                 *at_mut(M, &mut vals, landing)? = lifted;
                 i += 1;
                 fuel -= 1;
@@ -454,23 +453,25 @@ impl CSortableObList {
         let mut best = vals[0].clone();
         let mut idx = 1i64;
         let mut fuel = WATCHDOG;
+        let globals = self.base.globals();
         loop {
-            let env = self
-                .globals_env()
-                .bind("n", n)
-                .bind("idx", idx)
-                .bind("best", best.clone());
+            // Borrows `best`, which changes only after the last read below.
+            let env = || {
+                globals
+                    .env()
+                    .bind("n", n)
+                    .bind("idx", idx)
+                    .bind("best", best.clone())
+            };
             // Site 0: the scan comparison on idx.
-            if self.switch.read_int(method, 0, "idx", idx, &env) >= n {
+            if self.switch.read_int(method, 0, "idx", idx, env) >= n {
                 break;
             }
             // Site 1: the element index read.
-            let probe = self.switch.read_int(method, 1, "idx", idx, &env);
+            let probe = self.switch.read_int(method, 1, "idx", idx, env);
             let candidate = at(method, &vals, probe)?.clone();
             // Site 2: the running best (value-typed site).
-            let current_best = self
-                .switch
-                .read_value(method, 2, "best", best.clone(), &env);
+            let current_best = self.switch.read_value(method, 2, "best", best.clone(), env);
             if candidate.total_cmp(&current_best) == keep {
                 best = candidate;
             }

@@ -266,17 +266,18 @@ impl TestRunner {
     }
 
     /// The cancellation token the watchdog trips at the deadline. Share
-    /// it with anything that should stop when a case overruns — the
-    /// mutation harness hands it to its `MutationSwitch`.
+    /// it with anything that should stop when a case overruns.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.token
     }
 
-    /// Replaces the runner's cancellation token — typically with a
-    /// [`CancelToken::child`] of a campaign- or service-level token, so
-    /// an external cancellation interrupts the in-flight case exactly
-    /// like a watchdog deadline while the runner's own per-case
-    /// `cancel`/`reset` cycle stays contained in its child flag.
+    /// Replaces the runner's cancellation token — typically with the
+    /// token its components' checkpoints already poll (the mutation
+    /// harness passes its `MutationSwitch`'s), or a [`CancelToken::child`]
+    /// of a campaign- or service-level token, so an external cancellation
+    /// interrupts the in-flight case exactly like a watchdog deadline
+    /// while the runner's own per-case `cancel`/`reset` cycle stays
+    /// contained in its child flag.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.token = token;
         self
@@ -310,22 +311,21 @@ impl TestRunner {
         suite: &TestSuite,
         log: &mut TestLog,
     ) -> SuiteResult {
-        self.run_suite_with_coverage(factory, suite, log).0
+        self.run_suite_impl(factory, suite, Some(log), None, SpanId::NONE)
     }
 
-    /// [`TestRunner::run_suite`] with the suite span parented under
-    /// `parent` — how the mutation engine attributes a suite execution to
-    /// the mutant (and transitively the worker and campaign) that caused
-    /// it. [`SpanId::NONE`] leaves the suite a root span.
+    /// Runs a whole suite for its results alone — no log lines, no
+    /// coverage — with the suite span parented under `parent`: how the
+    /// mutation engine runs a mutant and attributes the execution to the
+    /// mutant (and transitively the worker and campaign) that caused it.
+    /// [`SpanId::NONE`] leaves the suite a root span.
     pub fn run_suite_under(
         &self,
         factory: &dyn ComponentFactory,
         suite: &TestSuite,
-        log: &mut TestLog,
         parent: SpanId,
     ) -> SuiteResult {
-        self.run_suite_with_coverage_under(factory, suite, log, parent)
-            .0
+        self.run_suite_impl(factory, suite, None, None, parent)
     }
 
     /// Runs a whole suite while recording the case × feature
@@ -351,26 +351,41 @@ impl TestRunner {
         log: &mut TestLog,
         parent: SpanId,
     ) -> (SuiteResult, CoverageMatrix) {
+        let mut coverage = CoverageMatrix::new(suite.class_name.clone());
+        let result = self.run_suite_impl(factory, suite, Some(log), Some(&mut coverage), parent);
+        (result, coverage)
+    }
+
+    /// The suite loop behind every `run_suite*` entry point; `log` and
+    /// `coverage` are filled only when given.
+    fn run_suite_impl(
+        &self,
+        factory: &dyn ComponentFactory,
+        suite: &TestSuite,
+        mut log: Option<&mut TestLog>,
+        mut coverage: Option<&mut CoverageMatrix>,
+        parent: SpanId,
+    ) -> SuiteResult {
         let span = self.telemetry.at(parent).span("suite", &suite.class_name);
         // Case spans nest under the suite span.
         let scoped = self.telemetry.at(span.id());
-        let mut coverage = CoverageMatrix::new(suite.class_name.clone());
         let mut cases = Vec::with_capacity(suite.len());
         let mut notes = Vec::new();
         for case in suite {
-            coverage.record(case.id, case.method_names().iter().map(|m| (*m).to_owned()));
-            let result = self.run_case_with(&scoped, factory, case, log);
+            if let Some(coverage) = coverage.as_deref_mut() {
+                coverage.record(case.id, case.method_names().iter().map(|m| (*m).to_owned()));
+            }
+            let result = self.run_case_with(&scoped, factory, case, log.as_deref_mut());
             if result.status.is_harness_stop() {
                 notes.push(format!("case {}: {}", result.case_id, result.status));
             }
             cases.push(result);
         }
-        let result = SuiteResult {
+        SuiteResult {
             class_name: suite.class_name.clone(),
             cases,
             notes,
-        };
-        (result, coverage)
+        }
     }
 
     /// Runs one test case: construct → (invariant, call)* → reporter.
@@ -384,19 +399,20 @@ impl TestRunner {
         case: &TestCase,
         log: &mut TestLog,
     ) -> CaseResult {
-        self.run_case_with(&self.telemetry, factory, case, log)
+        self.run_case_with(&self.telemetry, factory, case, Some(log))
     }
 
     /// [`TestRunner::run_case`] emitting into `telemetry` — the handle a
-    /// suite run positions under its own span so case spans nest.
+    /// suite run positions under its own span so case spans nest — and
+    /// logging only when `log` is given.
     fn run_case_with(
         &self,
         telemetry: &Telemetry,
         factory: &dyn ComponentFactory,
         case: &TestCase,
-        log: &mut TestLog,
+        log: Option<&mut TestLog>,
     ) -> CaseResult {
-        let span = telemetry.span("case", &case.name());
+        let span = telemetry.span_with("case", || case.name());
         // Arm the deadline; the token is reset afterwards so a firing
         // near the end of one case can never bleed into the next.
         if let (Some(wd), Some(deadline)) = (&self.watchdog, self.budget.deadline) {
@@ -435,8 +451,15 @@ impl TestRunner {
         &self,
         factory: &dyn ComponentFactory,
         case: &TestCase,
-        log: &mut TestLog,
+        mut log: Option<&mut TestLog>,
     ) -> CaseResult {
+        // Only a log that keeps failure lines pays for rendering the case
+        // name into them.
+        let mut log_failure = |method: &str, message: &str| {
+            if let Some(log) = log.as_deref_mut() {
+                log.log_failure(&case.name(), method, message);
+            }
+        };
         let mut records = Vec::new();
         let mut call_index = 0usize;
 
@@ -466,7 +489,7 @@ impl TestRunner {
                     },
                 });
                 let status = status_from_exception(&exc, call_index);
-                log.log_failure(&case.name(), &case.constructor.render(), &exc.to_string());
+                log_failure(&case.constructor.render(), &exc.to_string());
                 return CaseResult {
                     case_id: case.id,
                     status,
@@ -486,7 +509,7 @@ impl TestRunner {
                         message: message.clone(),
                     },
                 });
-                log.log_failure(&case.name(), &case.constructor.render(), &message);
+                log_failure(&case.constructor.render(), &message);
                 let status = if deadline {
                     CaseStatus::DeadlineExceeded {
                         at_call: call_index,
@@ -520,7 +543,7 @@ impl TestRunner {
                         message: message.clone(),
                     },
                 });
-                log.log_failure(&case.name(), "InvariantTest()", &message);
+                log_failure("InvariantTest()", &message);
                 return CaseResult {
                     case_id: case.id,
                     status: CaseStatus::AssertionViolated {
@@ -539,7 +562,7 @@ impl TestRunner {
         for call in &case.calls {
             if let Some(max) = self.budget.max_calls {
                 if call_index >= max {
-                    log.log_failure(&case.name(), &call.render(), "call budget exhausted");
+                    log_failure(&call.render(), "call budget exhausted");
                     return CaseResult {
                         case_id: case.id,
                         status: CaseStatus::BudgetExhausted {
@@ -560,7 +583,7 @@ impl TestRunner {
             // unwind with the deadline payload and are classified below.
             if self.token.is_cancelled() {
                 call_index += 1;
-                log.log_failure(&case.name(), &call.render(), "execution deadline exceeded");
+                log_failure(&call.render(), "execution deadline exceeded");
                 return CaseResult {
                     case_id: case.id,
                     status: CaseStatus::DeadlineExceeded {
@@ -593,7 +616,7 @@ impl TestRunner {
                             message: message.clone(),
                         },
                     });
-                    log.log_failure(&case.name(), &rendered, &message);
+                    log_failure(&rendered, &message);
                     return CaseResult {
                         case_id: case.id,
                         status: status_from_exception(&exc, call_index),
@@ -613,7 +636,7 @@ impl TestRunner {
                             message: message.clone(),
                         },
                     });
-                    log.log_failure(&case.name(), &rendered, &message);
+                    log_failure(&rendered, &message);
                     let status = if deadline {
                         CaseStatus::DeadlineExceeded {
                             at_call: call_index,
@@ -638,7 +661,7 @@ impl TestRunner {
                 transcript_bytes += records.last().map_or(0, record_size);
                 if transcript_bytes > max {
                     let last_call = records.last().map_or("", |r| r.call.as_str()).to_owned();
-                    log.log_failure(&case.name(), &last_call, "transcript byte budget exhausted");
+                    log_failure(&last_call, "transcript byte budget exhausted");
                     return CaseResult {
                         case_id: case.id,
                         status: CaseStatus::BudgetExhausted {
@@ -662,7 +685,7 @@ impl TestRunner {
                             message: message.clone(),
                         },
                     });
-                    log.log_failure(&case.name(), "InvariantTest()", &message);
+                    log_failure("InvariantTest()", &message);
                     return CaseResult {
                         case_id: case.id,
                         status: CaseStatus::AssertionViolated {
@@ -679,7 +702,9 @@ impl TestRunner {
         }
 
         let final_report = component.reporter();
-        log.log_pass(&case.name(), &final_report);
+        if let Some(log) = log {
+            log.log_pass(&case.name(), &final_report);
+        }
         CaseResult {
             case_id: case.id,
             status: CaseStatus::Passed,

@@ -458,8 +458,9 @@ mod tests {
             match m {
                 "Add" => {
                     let q = args::int(m, a, 0)?;
-                    let env = VarEnv::new().bind("step", q).bind("total", self.total);
-                    let step = self.switch.read_int("Add", 0, "step", q, &env);
+                    let total = self.total;
+                    let env = move || VarEnv::new().bind("step", q).bind("total", total);
+                    let step = self.switch.read_int("Add", 0, "step", q, env);
                     self.total += step;
                     Ok(Value::Int(self.total))
                 }

@@ -18,9 +18,7 @@ use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
 use crate::journal::{campaign_fingerprint, CampaignJournal};
 use concat_bit::ComponentFactory;
-use concat_driver::{
-    differing_cases, CaseStatus, CoverageMatrix, SuiteResult, TestLog, TestRunner, TestSuite,
-};
+use concat_driver::{CaseStatus, CoverageMatrix, SuiteResult, TestLog, TestRunner, TestSuite};
 use concat_obs::{MemorySink, SpanId, Telemetry};
 use concat_runtime::{recommended_workers, write_atomic, Budget, RetryPolicy};
 use std::collections::{BTreeSet, HashMap};
@@ -733,8 +731,7 @@ impl<'a> Engine<'a> {
                 telemetry.incr_by("selection.skipped", view.skipped);
             }
         }
-        let observed =
-            runner.run_suite_under(factory, scope_suite, &mut TestLog::new(), mutant_span.id());
+        let observed = runner.run_suite_under(factory, scope_suite, mutant_span.id());
         // Harness stops describe the execution environment, not the
         // component's behaviour — quarantine before the kill classifier
         // so a timed-out mutant is never miscounted as a crash kill.
@@ -800,8 +797,7 @@ impl<'a> Engine<'a> {
                     telemetry.incr_by("selection.skipped", *skipped);
                 }
             }
-            let probed =
-                runner.run_suite_under(factory, probe, &mut TestLog::new(), probe_span.id());
+            let probed = runner.run_suite_under(factory, probe, probe_span.id());
             if let Some(reason) =
                 quarantine_reason(probe_index, &probed, self.config.crash_quarantine_threshold)
             {
@@ -816,8 +812,14 @@ impl<'a> Engine<'a> {
 }
 
 /// Builds the per-shard runner: BIT mode, telemetry, budget — and, when
-/// the budget carries a deadline, that shard's own watchdog thread.
-pub(crate) fn build_runner(config: &MutationConfig, telemetry: &Telemetry) -> TestRunner {
+/// the budget carries a deadline, that shard's own watchdog thread. The
+/// runner adopts `switch`'s cancellation token: instrumented reads double
+/// as cancellation points, so a watchdog deadline unwinds a hung mutant.
+pub(crate) fn build_runner(
+    config: &MutationConfig,
+    telemetry: &Telemetry,
+    switch: &MutationSwitch,
+) -> TestRunner {
     let runner = if config.bit_enabled {
         TestRunner::new()
     } else {
@@ -826,6 +828,7 @@ pub(crate) fn build_runner(config: &MutationConfig, telemetry: &Telemetry) -> Te
     runner
         .with_telemetry(telemetry.clone())
         .with_budget(config.budget)
+        .with_cancel_token(switch.cancel_token().clone())
 }
 
 /// Runs the golden suite and golden probe suites (switch disarmed — the
@@ -1227,10 +1230,7 @@ pub fn run_mutation_analysis(
     let telemetry = &scoped;
     let (mut journal, replayed) =
         JournalState::open(factory.class_name(), suite, mutants, config, telemetry);
-    let runner = build_runner(config, telemetry);
-    // Instrumented reads double as cancellation points: the watchdog's
-    // token must be visible to the switch for a hung mutant to unwind.
-    switch.set_cancel_token(runner.cancel_token().clone());
+    let runner = build_runner(config, telemetry, switch);
     switch.disarm();
     let baseline = run_golden(&runner, factory, suite, mutants, config, telemetry);
     persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
@@ -1256,7 +1256,6 @@ pub fn run_mutation_analysis(
         }
     }
     switch.disarm();
-    switch.clear_cancel_token();
     campaign_heartbeat(telemetry, &slots, &[]);
     let results = collect_slots(mutants, slots);
     finish_run(telemetry, results, baseline.golden)
@@ -1334,8 +1333,7 @@ pub fn run_mutation_analysis_parallel(
     // Golden shard: the baseline is computed once and shared read-only.
     let golden_switch = MutationSwitch::new();
     let golden_factory = shards.build_factory(&golden_switch);
-    let runner = build_runner(config, telemetry);
-    golden_switch.set_cancel_token(runner.cancel_token().clone());
+    let runner = build_runner(config, telemetry, &golden_switch);
     let baseline = run_golden(
         &runner,
         golden_factory.as_ref(),
@@ -1344,7 +1342,6 @@ pub fn run_mutation_analysis_parallel(
         config,
         telemetry,
     );
-    golden_switch.clear_cancel_token();
     persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
 
     // The gauge reflects the configured pool for the whole campaign (not
@@ -1388,8 +1385,7 @@ pub fn run_mutation_analysis_parallel(
                         let worker_scoped = worker_telemetry.at(worker_span.id());
                         let switch = MutationSwitch::new();
                         let factory = shards.build_factory(&switch);
-                        let runner = build_runner(engine.config, &worker_scoped);
-                        switch.set_cancel_token(runner.cancel_token().clone());
+                        let runner = build_runner(engine.config, &worker_scoped, &switch);
                         let mut emit = |index: usize, result: MutantResult| {
                             let _ = verdict_tx.send(WorkerMsg::Verdict(worker, index, result));
                         };
@@ -1401,7 +1397,6 @@ pub fn run_mutation_analysis_parallel(
                             &mut emit,
                         );
                         switch.disarm();
-                        switch.clear_cancel_token();
                         worker_span.finish();
                         end
                     });
@@ -1475,8 +1470,7 @@ pub fn run_mutation_analysis_parallel(
     while engine.has_unclaimed_work() {
         let switch = MutationSwitch::new();
         let factory = shards.build_factory(&switch);
-        let inline_runner = build_runner(config, telemetry);
-        switch.set_cancel_token(inline_runner.cancel_token().clone());
+        let inline_runner = build_runner(config, telemetry, &switch);
         let mut emit = |index: usize, result: MutantResult| {
             journal.record(index, &result.status);
             slots[index] = Some(result);
@@ -1489,7 +1483,6 @@ pub fn run_mutation_analysis_parallel(
             &mut emit,
         );
         switch.disarm();
-        switch.clear_cancel_token();
         if let DrainEnd::Drained = end {
             break;
         }
@@ -1551,12 +1544,15 @@ fn quarantine_reason(
 }
 
 /// Finds the first distinguishing case and derives the kill reason per the
-/// paper's three criteria.
+/// paper's three criteria. Stops at the first case whose transcript
+/// differs; no divergence is rendered.
 fn first_difference(golden: &SuiteResult, observed: &SuiteResult) -> Option<(usize, KillReason)> {
-    let diff = differing_cases(golden, observed);
-    let case_id = *diff.first()?;
-    let g = golden.cases.iter().find(|c| c.case_id == case_id)?;
-    let o = observed.cases.iter().find(|c| c.case_id == case_id)?;
+    let (g, o) = golden
+        .cases
+        .iter()
+        .zip(&observed.cases)
+        .find(|(g, o)| g.transcript != o.transcript)?;
+    let case_id = g.case_id;
     let reason = match (&o.status, &g.status) {
         (CaseStatus::Panicked { .. }, _) => KillReason::Crash,
         (CaseStatus::AssertionViolated { .. }, CaseStatus::AssertionViolated { .. }) => {
@@ -1631,16 +1627,19 @@ mod tests {
                 "AddTwice" => {
                     let q = args::int(m, a, 0)?;
                     let step = q; // local L = {step}; G = {total, limit}
-                    let env = VarEnv::new()
-                        .bind("step", step)
-                        .bind("total", self.total)
-                        .bind("limit", self.limit);
-                    let s1 = self.switch.read_int("AddTwice", 0, "step", step, &env);
+                    let (total, limit) = (self.total, self.limit);
+                    let env = move || {
+                        VarEnv::new()
+                            .bind("step", step)
+                            .bind("total", total)
+                            .bind("limit", limit)
+                    };
+                    let s1 = self.switch.read_int("AddTwice", 0, "step", step, env);
                     self.total += s1;
-                    let s2 = self.switch.read_int("AddTwice", 1, "step", step, &env);
+                    let s2 = self.switch.read_int("AddTwice", 1, "step", step, env);
                     // Site 2 feeds an array index to provoke crashes on
                     // wild replacements.
-                    let idx = self.switch.read_int("AddTwice", 2, "step", step, &env);
+                    let idx = self.switch.read_int("AddTwice", 2, "step", step, env);
                     let table = [0i64, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
                     let bonus = table[usize::try_from(idx).expect("index")];
                     self.total += s2 + bonus - bonus;
@@ -2222,12 +2221,12 @@ mod tests {
             match m {
                 "Idle" => Ok(Value::Int(0)),
                 "Spin" => {
-                    let env = VarEnv::new().bind("go", 1);
+                    let env = || VarEnv::new().bind("go", 1);
                     loop {
                         // The instrumented read is a cancellation point:
                         // a mutant forcing `go <= 0` loops here until the
                         // watchdog fires.
-                        let go = self.switch.read_int("Spin", 0, "go", 1, &env);
+                        let go = self.switch.read_int("Spin", 0, "go", 1, env);
                         if go > 0 {
                             return Ok(Value::Int(go));
                         }

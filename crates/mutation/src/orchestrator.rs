@@ -557,21 +557,17 @@ fn slot_main(slot: usize, rx: mpsc::Receiver<SlotCmd>, tx: mpsc::Sender<Msg>) {
                 let (sink, telemetry) = lease_telemetry(&data.config.telemetry);
                 let id = data.id;
                 let baseline = catch_unwind(AssertUnwindSafe(|| {
-                    let switch = MutationSwitch::new();
+                    let switch = MutationSwitch::with_cancel_token(data.token.child());
                     let factory = data.shards.build_factory(&switch);
-                    let runner = build_runner(&data.config, &telemetry)
-                        .with_cancel_token(data.token.child());
-                    switch.set_cancel_token(runner.cancel_token().clone());
-                    let baseline = crate::analysis::run_golden(
+                    let runner = build_runner(&data.config, &telemetry, &switch);
+                    crate::analysis::run_golden(
                         &runner,
                         factory.as_ref(),
                         &data.suite,
                         &data.mutants,
                         &data.config,
                         &telemetry,
-                    );
-                    switch.clear_cancel_token();
-                    baseline
+                    )
                 }))
                 .ok()
                 .map(Box::new);
@@ -646,11 +642,12 @@ fn lease_telemetry(campaign: &Telemetry) -> (Option<Arc<MemorySink>>, Telemetry)
 
 /// One in-thread lease: build a private factory/switch/runner (the same
 /// trio a pool worker owns), classify each leased mutant, stream verdicts
-/// to the supervisor. The runner's token is a child of the campaign
-/// token, so campaign or service cancellation interrupts the in-flight
-/// case like a watchdog deadline — and a verdict finished *after* the
-/// cancellation is discarded, never merged, because a case interrupted
-/// mid-flight classifies differently than a solo run would.
+/// to the supervisor. The switch's token, which the runner adopts, is a
+/// child of the campaign token, so campaign or service cancellation
+/// interrupts the in-flight case like a watchdog deadline — and a
+/// verdict finished *after* the cancellation is discarded, never merged,
+/// because a case interrupted mid-flight classifies differently than a
+/// solo run would.
 fn thread_lease(
     slot: usize,
     rt: &Arc<CampaignRuntime>,
@@ -663,10 +660,9 @@ fn thread_lease(
     let lease_span = telemetry.span_with("lease", || format!("{} thread", data.id));
     let scoped = telemetry.at(lease_span.id());
     let setup = catch_unwind(AssertUnwindSafe(|| {
-        let switch = MutationSwitch::new();
+        let switch = MutationSwitch::with_cancel_token(token.child());
         let factory = data.shards.build_factory(&switch);
-        let runner = build_runner(&data.config, &scoped).with_cancel_token(token.child());
-        switch.set_cancel_token(runner.cancel_token().clone());
+        let runner = build_runner(&data.config, &scoped, &switch);
         (switch, factory, runner)
     }));
     let Ok((switch, factory, runner)) = setup else {
@@ -738,7 +734,6 @@ fn thread_lease(
         }
     }
     switch.disarm();
-    switch.clear_cancel_token();
     LeaseOutcome::Drained
 }
 

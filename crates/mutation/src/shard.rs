@@ -179,8 +179,7 @@ pub fn run_shard_worker(
     let telemetry = Telemetry::disabled();
     let switch = MutationSwitch::new();
     let factory = shards.build_factory(&switch);
-    let runner = build_runner(config, &telemetry);
-    switch.set_cancel_token(runner.cancel_token().clone());
+    let runner = build_runner(config, &telemetry, &switch);
     switch.disarm();
     let baseline = crate::analysis::run_golden(
         &runner,
@@ -223,7 +222,6 @@ pub fn run_shard_worker(
         }
     }
     switch.disarm();
-    switch.clear_cancel_token();
     if !out.emit("shard-done") {
         return EXIT_PIPE_CLOSED;
     }
@@ -301,8 +299,7 @@ pub(crate) fn run_process_shards(
     // nothing mutable with the children.
     let golden_switch = MutationSwitch::new();
     let golden_factory = shards.build_factory(&golden_switch);
-    let runner = build_runner(config, telemetry);
-    golden_switch.set_cancel_token(runner.cancel_token().clone());
+    let runner = build_runner(config, telemetry, &golden_switch);
     let baseline = crate::analysis::run_golden(
         &runner,
         golden_factory.as_ref(),
@@ -311,7 +308,6 @@ pub(crate) fn run_process_shards(
         config,
         telemetry,
     );
-    golden_switch.clear_cancel_token();
     persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
 
     let (mut slots, _) = replay_slots(mutants, replayed, telemetry);
@@ -607,8 +603,7 @@ pub(crate) fn run_process_shards(
         while engine.has_unclaimed_work() {
             let switch = MutationSwitch::new();
             let factory = shards.build_factory(&switch);
-            let inline_runner = build_runner(config, telemetry);
-            switch.set_cancel_token(inline_runner.cancel_token().clone());
+            let inline_runner = build_runner(config, telemetry, &switch);
             let mut emit = |index: usize, result: MutantResult| {
                 journal.record(index, &result.status);
                 slots[index] = Some(result);
@@ -621,7 +616,6 @@ pub(crate) fn run_process_shards(
                 &mut emit,
             );
             switch.disarm();
-            switch.clear_cancel_token();
             if let DrainEnd::Drained = end {
                 break;
             }

@@ -65,13 +65,16 @@ impl Component for Calc {
             "AddTwice" => {
                 let q = args::int(m, a, 0)?;
                 std::thread::sleep(Duration::from_millis(1));
-                let env = VarEnv::new()
-                    .bind("step", q)
-                    .bind("total", self.total)
-                    .bind("limit", self.limit);
-                let s1 = self.switch.read_int("AddTwice", 0, "step", q, &env);
+                let (total, limit) = (self.total, self.limit);
+                let env = move || {
+                    VarEnv::new()
+                        .bind("step", q)
+                        .bind("total", total)
+                        .bind("limit", limit)
+                };
+                let s1 = self.switch.read_int("AddTwice", 0, "step", q, env);
                 self.total += s1;
-                let idx = self.switch.read_int("AddTwice", 1, "step", q, &env);
+                let idx = self.switch.read_int("AddTwice", 1, "step", q, env);
                 let table = [0i64, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
                 let bonus = table[usize::try_from(idx).expect("index")];
                 self.total += q + bonus - bonus;
@@ -226,8 +229,8 @@ impl Component for Volatile {
     fn invoke(&mut self, m: &str, _a: &[Value]) -> InvokeResult {
         match m {
             "Op" => {
-                let env = VarEnv::new().bind("mode", 1);
-                let mode = self.switch.read_int("Op", 0, "mode", 1, &env);
+                let env = || VarEnv::new().bind("mode", 1);
+                let mode = self.switch.read_int("Op", 0, "mode", 1, env);
                 if mode == i64::MAX {
                     std::process::abort();
                 }

@@ -68,13 +68,16 @@ impl Component for Chaos {
             "Step" => {
                 let q = args::int(m, a, 0)?;
                 std::thread::sleep(Duration::from_millis(self.millis));
-                let env = VarEnv::new()
-                    .bind("delta", q)
-                    .bind("total", self.total)
-                    .bind("limit", self.limit);
-                let s1 = self.switch.read_int("Step", 0, "delta", q, &env);
+                let (total, limit) = (self.total, self.limit);
+                let env = move || {
+                    VarEnv::new()
+                        .bind("delta", q)
+                        .bind("total", total)
+                        .bind("limit", limit)
+                };
+                let s1 = self.switch.read_int("Step", 0, "delta", q, env);
                 self.total += s1;
-                let idx = self.switch.read_int("Step", 1, "delta", q, &env);
+                let idx = self.switch.read_int("Step", 1, "delta", q, env);
                 let table = [0i64, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
                 let bonus = table[usize::try_from(idx).expect("index")];
                 self.total += q + bonus - bonus;

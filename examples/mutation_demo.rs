@@ -242,9 +242,8 @@ impl Delay {
     const CLASS: &'static str = "Delay";
 
     fn guarded_loop(&self, method: &'static str, var: &'static str) -> InvokeResult {
-        let env = VarEnv::new();
         loop {
-            let guard = self.switch.read_int(method, 0, var, 1, &env);
+            let guard = self.switch.read_int(method, 0, var, 1, VarEnv::new);
             if guard > 0 {
                 return Ok(Value::Int(guard));
             }

@@ -57,12 +57,11 @@ impl Component for Spinner {
     fn invoke(&mut self, method: &str, _a: &[Value]) -> InvokeResult {
         match method {
             "Work" => {
-                let env = VarEnv::new();
                 loop {
                     // Instrumented read: the switch polls the runner's
                     // cancellation token, so the watchdog can break the
                     // loop a mutant made infinite.
-                    let step = self.switch.read_int("Work", 0, "step", 1, &env);
+                    let step = self.switch.read_int("Work", 0, "step", 1, VarEnv::new);
                     if step > 0 {
                         return Ok(Value::Int(step));
                     }
@@ -339,8 +338,8 @@ impl Component for Fuse {
     fn invoke(&mut self, method: &str, _a: &[Value]) -> InvokeResult {
         match method {
             "Charge" => {
-                let env = VarEnv::new().bind("level", 5);
-                self.charge = self.switch.read_int("Charge", 0, "level", 5, &env);
+                let env = || VarEnv::new().bind("level", 5);
+                self.charge = self.switch.read_int("Charge", 0, "level", 5, env);
                 Ok(Value::Int(self.charge))
             }
             "~Fuse" => Ok(Value::Null),

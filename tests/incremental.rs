@@ -53,17 +53,19 @@ impl Component for Gauge {
         match method {
             "Scale" => {
                 let q = args::int(method, a, 0)?;
-                let env = VarEnv::new().bind("factor", q).bind("total", self.total);
-                let s1 = self.switch.read_int("Scale", 0, "factor", q, &env);
+                let total = self.total;
+                let env = move || VarEnv::new().bind("factor", q).bind("total", total);
+                let s1 = self.switch.read_int("Scale", 0, "factor", q, env);
                 self.total = self.total.saturating_mul(s1);
-                let s2 = self.switch.read_int("Scale", 1, "factor", 1, &env);
+                let s2 = self.switch.read_int("Scale", 1, "factor", 1, env);
                 self.total = self.total.saturating_mul(s2);
                 Ok(Value::Int(self.total))
             }
             "Bump" => {
                 let q = args::int(method, a, 0)?;
-                let env = VarEnv::new().bind("step", q).bind("total", self.total);
-                let s = self.switch.read_int("Bump", 0, "step", q, &env);
+                let total = self.total;
+                let env = move || VarEnv::new().bind("step", q).bind("total", total);
+                let s = self.switch.read_int("Bump", 0, "step", q, env);
                 self.total = self.total.saturating_add(s);
                 Ok(Value::Int(self.total))
             }

@@ -49,10 +49,11 @@ impl Component for Meter {
         match method {
             "Bump" => {
                 let q = args::int(method, a, 0)?;
-                let env = VarEnv::new().bind("step", q).bind("total", self.total);
-                let s1 = self.switch.read_int("Bump", 0, "step", q, &env);
+                let total = self.total;
+                let env = move || VarEnv::new().bind("step", q).bind("total", total);
+                let s1 = self.switch.read_int("Bump", 0, "step", q, env);
                 self.total = self.total.saturating_add(s1);
-                let s2 = self.switch.read_int("Bump", 1, "step", q, &env);
+                let s2 = self.switch.read_int("Bump", 1, "step", q, env);
                 self.total = self.total.saturating_add(s2);
                 Ok(Value::Int(self.total))
             }
