@@ -16,18 +16,19 @@
 
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
-use crate::journal::{campaign_fingerprint, CampaignJournal};
+use crate::journal::campaign_fingerprint;
+use crate::ledger::{CampaignLedger, LeaseOutcome, Ruling, INLINE};
+use crate::shard::process_lease;
 use concat_bit::ComponentFactory;
 use concat_driver::{CaseStatus, CoverageMatrix, SuiteResult, TestLog, TestRunner, TestSuite};
 use concat_obs::{MemorySink, SpanId, Telemetry};
-use concat_runtime::{recommended_workers, write_atomic, Budget, RetryPolicy};
+use concat_runtime::{recommended_workers, write_atomic, Budget, CancelToken, RetryPolicy};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Why a mutant died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -288,12 +289,12 @@ pub struct MutationConfig {
     /// campaign continues without durability, counting `harden.degraded`)
     /// rather than aborting the run.
     pub journal_path: Option<PathBuf>,
-    /// How many crashed workers the parallel supervisor may replace
-    /// before degrading to the surviving workers. Each worker panic
-    /// quarantines only its in-flight mutant; the replacement worker
-    /// keeps draining the shared queue. Once the budget is spent the
+    /// How many crashed workers (or process shards) a campaign may
+    /// replace before degrading to the surviving workers. Each worker
+    /// panic quarantines only its in-flight mutant; the rebuilt worker
+    /// keeps leasing from the shared queue. Once the budget is spent the
     /// campaign still completes — remaining mutants run on the surviving
-    /// workers, or inline on the supervisor when none survive. Partial
+    /// workers, or inline on the calling thread when none survive. Partial
     /// results are never discarded.
     pub worker_restarts: usize,
     /// Coverage-matrix selection (the fast path): per mutant, execute
@@ -572,9 +573,9 @@ struct ViewIndexes<'a> {
     probes: Vec<StatusIndex<'a>>,
 }
 
-/// Read-only inputs every shard works from, plus the shared work queue.
-/// Workers pull mutant indices from `next` and report `(index, result)`
-/// pairs; the index is what makes the merge deterministic.
+/// Read-only inputs every executor works from. Executors classify the
+/// mutant indices a [`CampaignLedger`] leases them and merge each verdict
+/// back by index, which is what makes the merge deterministic.
 pub(crate) struct Engine<'a> {
     suite: &'a TestSuite,
     mutants: &'a [Mutant],
@@ -585,22 +586,38 @@ pub(crate) struct Engine<'a> {
     /// Pre-built status indexes of every feature view's golden slices,
     /// keyed like [`GoldenBaseline::views`].
     view_indexes: HashMap<&'a str, ViewIndexes<'a>>,
-    next: AtomicUsize,
-    /// Mutants whose verdicts were replayed from a journal: claimed
-    /// indices in `done` are skipped, so a resumed run re-executes only
-    /// unfinished mutants.
-    done: Vec<bool>,
 }
 
-/// How one worker's drain loop ended.
-pub(crate) enum DrainEnd {
-    /// The shared queue is empty; the worker retires healthy.
-    Drained,
-    /// A classification panicked outside the runner's catch boundary.
-    /// The in-flight mutant was quarantined and emitted; the worker's
-    /// harness state is suspect, so it retires and the supervisor decides
-    /// whether to replace it.
-    Crashed,
+/// One executor's harness: the component factory, the switch its
+/// components read through, the runner that adopts the switch's token,
+/// and the telemetry the executor records into.
+pub(crate) struct Harness<'h> {
+    pub(crate) factory: &'h dyn ComponentFactory,
+    pub(crate) switch: &'h MutationSwitch,
+    pub(crate) runner: &'h TestRunner,
+    pub(crate) telemetry: &'h Telemetry,
+}
+
+/// Builds a private factory and runner over `switch` under
+/// `catch_unwind`: a panicking factory costs one lease (counted as
+/// `mutation.worker_crash`), never the campaign.
+pub(crate) fn build_harness(
+    shards: &dyn ClonableFactory,
+    config: &MutationConfig,
+    telemetry: &Telemetry,
+    switch: &MutationSwitch,
+) -> Option<(Box<dyn ComponentFactory>, TestRunner)> {
+    let built = catch_unwind(AssertUnwindSafe(|| {
+        (
+            shards.build_factory(switch),
+            build_runner(config, telemetry, switch),
+        )
+    }))
+    .ok();
+    if built.is_none() {
+        telemetry.incr("mutation.worker_crash");
+    }
+    built
 }
 
 impl<'a> Engine<'a> {
@@ -609,7 +626,6 @@ impl<'a> Engine<'a> {
         mutants: &'a [Mutant],
         config: &'a MutationConfig,
         baseline: &'a GoldenBaseline,
-        done: Vec<bool>,
     ) -> Self {
         Engine {
             suite,
@@ -631,8 +647,6 @@ impl<'a> Engine<'a> {
                     )
                 })
                 .collect(),
-            next: AtomicUsize::new(0),
-            done,
         }
     }
 
@@ -644,78 +658,87 @@ impl<'a> Engine<'a> {
         Some((view, indexes))
     }
 
-    /// True while unclaimed mutant indices remain on the shared queue.
-    pub(crate) fn has_unclaimed_work(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.mutants.len()
+    /// The in-process lease loop every executor shares: classifies each
+    /// leased mutant on `harness` and emits its verdict. `begin`, when
+    /// given, runs before each mutant; returning `false` stops the lease.
+    /// Each classification runs inside `catch_unwind`, so a panic that
+    /// escapes the runner (an engine-adjacent crash) costs exactly one
+    /// mutant: it is emitted as [`QuarantineReason::WorkerCrash`] and the
+    /// lease ends [`LeaseOutcome::Crashed`], so the caller can retire the
+    /// (possibly corrupted) harness. A verdict that finished after
+    /// `cancel` tripped may reflect an interrupted case, so it is
+    /// discarded and the lease ends [`LeaseOutcome::Aborted`].
+    pub(crate) fn run_lease(
+        &self,
+        harness: &Harness<'_>,
+        lease: &[usize],
+        cancel: &CancelToken,
+        mut begin: Option<&mut dyn FnMut(usize) -> bool>,
+        emit: &mut dyn FnMut(usize, MutantStatus),
+    ) -> LeaseOutcome {
+        let mut emitted = 0u64;
+        let outcome = 'lease: {
+            for &index in lease {
+                let Some(mutant) = self.mutants.get(index) else {
+                    continue;
+                };
+                if cancel.is_cancelled() || begin.as_mut().is_some_and(|begin| !begin(index)) {
+                    break 'lease LeaseOutcome::Aborted;
+                }
+                let Ok(status) = catch_unwind(AssertUnwindSafe(|| self.classify(harness, mutant)))
+                else {
+                    harness.telemetry.incr("mutation.worker_crash");
+                    emit(
+                        index,
+                        MutantStatus::Quarantined {
+                            reason: QuarantineReason::WorkerCrash,
+                        },
+                    );
+                    break 'lease LeaseOutcome::Crashed {
+                        in_flight: None,
+                        reason: QuarantineReason::WorkerCrash,
+                        poisoned: false,
+                        emitted: emitted + 1,
+                    };
+                };
+                if cancel.is_cancelled() {
+                    break 'lease LeaseOutcome::Aborted;
+                }
+                emit(index, status);
+                emitted += 1;
+            }
+            LeaseOutcome::Drained
+        };
+        harness.switch.disarm();
+        outcome
     }
 
-    /// One shard's work loop: pull the next unclaimed mutant index until
-    /// the queue is drained. Slow mutants delay only their own slot;
-    /// siblings keep pulling. Each classification runs inside
-    /// `catch_unwind`, so a panic that escapes the runner (an
-    /// engine-adjacent crash) costs exactly one mutant — quarantined as
-    /// [`QuarantineReason::WorkerCrash`] and emitted like any other
-    /// verdict — after which the loop returns [`DrainEnd::Crashed`] so
-    /// the caller can retire this worker's (possibly corrupted) harness.
-    pub(crate) fn drain(
-        &self,
-        factory: &dyn ComponentFactory,
-        switch: &MutationSwitch,
-        runner: &TestRunner,
-        telemetry: &Telemetry,
-        emit: &mut dyn FnMut(usize, MutantResult),
-    ) -> DrainEnd {
+    /// Classifies every unfinished mutant of `ledger` on one harness, on
+    /// the calling thread. The harness is kept across contained crashes:
+    /// each crash consumes (and quarantines) exactly one mutant, so the
+    /// loop always progresses.
+    pub(crate) fn run_inline(&self, harness: &Harness<'_>, ledger: &mut CampaignLedger) {
+        let cancel = CancelToken::new();
         loop {
-            let index = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(mutant) = self.mutants.get(index) else {
-                return DrainEnd::Drained;
-            };
-            if self.done[index] {
-                continue;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.classify(factory, switch, runner, telemetry, mutant)
-            }));
-            match outcome {
-                Ok(status) => {
-                    record_status(telemetry, &status);
-                    emit(
-                        index,
-                        MutantResult {
-                            mutant: mutant.clone(),
-                            status,
-                        },
-                    );
-                }
-                Err(_panic) => {
-                    let status = MutantStatus::Quarantined {
-                        reason: QuarantineReason::WorkerCrash,
-                    };
-                    telemetry.incr("mutation.worker_crash");
-                    record_status(telemetry, &status);
-                    emit(
-                        index,
-                        MutantResult {
-                            mutant: mutant.clone(),
-                            status,
-                        },
-                    );
-                    return DrainEnd::Crashed;
-                }
+            let lease = ledger.unfinished();
+            let outcome = self.run_lease(harness, &lease, &cancel, None, &mut |index, status| {
+                ledger.merge(INLINE, index, status);
+            });
+            if !matches!(outcome, LeaseOutcome::Crashed { .. }) {
+                return;
             }
         }
     }
 
     /// Runs one mutant through the suite (and, if it stays alive, the
     /// probe suites) and classifies it.
-    pub(crate) fn classify(
-        &self,
-        factory: &dyn ComponentFactory,
-        switch: &MutationSwitch,
-        runner: &TestRunner,
-        telemetry: &Telemetry,
-        mutant: &Mutant,
-    ) -> MutantStatus {
+    fn classify(&self, harness: &Harness<'_>, mutant: &Mutant) -> MutantStatus {
+        let Harness {
+            factory,
+            switch,
+            runner,
+            telemetry,
+        } = *harness;
         let mutant_span = telemetry.span_with("mutant", || mutant.to_string());
         switch.arm(mutant.plan.clone());
         // Coverage-matrix selection: mutants with a feature view execute
@@ -954,262 +977,14 @@ pub fn load_campaign_coverage(
     CoverageMatrix::from_text(body).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Emits the per-status counters for one classified mutant.
-pub(crate) fn record_status(telemetry: &Telemetry, status: &MutantStatus) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    telemetry.incr(match status {
-        MutantStatus::Killed {
-            reason: KillReason::Crash,
-            ..
-        } => "mutant.killed.crash",
-        MutantStatus::Killed {
-            reason: KillReason::Assertion,
-            ..
-        } => "mutant.killed.assertion",
-        MutantStatus::Killed {
-            reason: KillReason::OutputDiff,
-            ..
-        } => "mutant.killed.output_diff",
-        MutantStatus::Survived => "mutant.survived",
-        MutantStatus::PresumedEquivalent => "mutant.equivalent.presumed",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::Timeout,
-        } => "mutant.quarantined.timeout",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::Budget,
-        } => "mutant.quarantined.budget",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::RepeatedCrash,
-        } => "mutant.quarantined.repeated_crash",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::WorkerCrash,
-        } => "mutant.quarantined.worker_crash",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::ShardAbort,
-        } => "mutant.quarantined.shard_abort",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::ShardSignal,
-        } => "mutant.quarantined.shard_signal",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::ShardUnresponsive,
-        } => "mutant.quarantined.shard_unresponsive",
-    });
-    if status.is_quarantined() {
-        telemetry.incr("mutation.quarantined");
-    }
-}
-
-/// Final bookkeeping shared by both entry points: order check, the
-/// equivalence gauge, and the assembled [`MutationRun`].
-pub(crate) fn finish_run(
-    telemetry: &Telemetry,
-    results: Vec<MutantResult>,
-    golden: SuiteResult,
-) -> MutationRun {
-    let equivalents = results.iter().filter(|r| r.status.is_equivalent()).count();
-    telemetry.gauge("mutant.equivalent", equivalents as i64);
-    MutationRun { results, golden }
-}
-
-/// Journal wiring for one run: opened (with torn-tail recovery) from
-/// `config.journal_path`, it surfaces the replayed verdicts and appends
-/// new ones. Journal I/O failures *degrade* — the campaign continues
-/// without durability and `harden.degraded` is counted — because losing
-/// the journal must never lose the run (the in-memory results stay
-/// authoritative, exactly like the other retry-then-degrade consumers).
-pub(crate) struct JournalState {
-    inner: Option<CampaignJournal>,
-    /// The campaign fingerprint, computed whenever a journal path is
-    /// configured (even if opening it later degraded) — the provenance
-    /// stamp for the coverage sidecar and derived round journals.
-    fingerprint: Option<u32>,
-    telemetry: Telemetry,
-}
-
-impl JournalState {
-    /// `telemetry` is the campaign-scoped handle, so `journal` spans nest
-    /// under the `mutation` span in the flight recorder.
-    pub(crate) fn open(
-        class_name: &str,
-        suite: &TestSuite,
-        mutants: &[Mutant],
-        config: &MutationConfig,
-        telemetry: &Telemetry,
-    ) -> (JournalState, Vec<(usize, MutantStatus)>) {
-        let telemetry = telemetry.clone();
-        let Some(path) = &config.journal_path else {
-            return (
-                JournalState {
-                    inner: None,
-                    fingerprint: None,
-                    telemetry,
-                },
-                Vec::new(),
-            );
-        };
-        let open_span = telemetry.span("journal", "open");
-        let fingerprint = campaign_fingerprint(class_name, suite, mutants, config);
-        let resumed = if config.incremental {
-            let features = crate::journal::method_fingerprints(class_name, suite, mutants, config);
-            CampaignJournal::resume_incremental(path, fingerprint, &features, mutants.len()).map(
-                |resume| {
-                    if resume.rebuilt {
-                        telemetry.incr("mutation.incremental_rebuild");
-                    }
-                    (resume.journal, resume.replayed)
-                },
-            )
-        } else {
-            CampaignJournal::resume(path, fingerprint, mutants.len())
-        };
-        open_span.finish();
-        match resumed {
-            Ok((journal, replayed)) => (
-                JournalState {
-                    inner: Some(journal),
-                    fingerprint: Some(fingerprint),
-                    telemetry,
-                },
-                replayed,
-            ),
-            Err(_) => {
-                telemetry.incr("harden.degraded");
-                (
-                    JournalState {
-                        inner: None,
-                        fingerprint: Some(fingerprint),
-                        telemetry,
-                    },
-                    Vec::new(),
-                )
-            }
-        }
-    }
-
-    /// The campaign fingerprint (`Some` whenever a journal path was
-    /// configured).
-    pub(crate) fn fingerprint(&self) -> Option<u32> {
-        self.fingerprint
-    }
-
-    /// Write-ahead append of one verdict; called by the supervisor before
-    /// the verdict is merged into its slot.
-    pub(crate) fn record(&mut self, index: usize, status: &MutantStatus) {
-        if let Some(journal) = &mut self.inner {
-            let _span = self.telemetry.span("journal", "append");
-            if journal.record(index, status).is_err() {
-                self.telemetry.incr("harden.degraded");
-                self.inner = None;
-            }
-        }
-    }
-}
-
-/// Emits the `campaign.progress` heartbeat: mutants done / queued /
-/// quarantined, plus each worker's verdict count. The readings closure is
-/// lazy, so a disabled handle pays nothing.
-pub(crate) fn campaign_heartbeat(
-    telemetry: &Telemetry,
-    slots: &[Option<MutantResult>],
-    done_by_worker: &[u64],
-) {
-    telemetry.snapshot("campaign.progress", || {
-        let done = slots.iter().filter(|s| s.is_some()).count() as i64;
-        let quarantined = slots
-            .iter()
-            .filter(|s| matches!(s, Some(r) if r.status.is_quarantined()))
-            .count() as i64;
-        let mut readings = vec![
-            ("done".to_owned(), done),
-            ("queued".to_owned(), slots.len() as i64 - done),
-            ("quarantined".to_owned(), quarantined),
-        ];
-        for (worker, count) in done_by_worker.iter().enumerate() {
-            readings.push((format!("w{worker}.done"), *count as i64));
-        }
-        readings
-    });
-}
-
-/// Surfaces `worker_restarts` exhaustion: previously the campaign slid
-/// silently into degraded completion; now the harness-health table gets a
-/// `mutation.restarts_exhausted` row and the flight recorder a
-/// `campaign.degraded` event recording how much work was left when the
-/// budget died.
-pub(crate) fn flag_restart_exhaustion(telemetry: &Telemetry, budget: usize, remaining: usize) {
-    telemetry.incr("mutation.restarts_exhausted");
-    telemetry.snapshot("campaign.degraded", || {
-        vec![
-            ("restarts_spent".to_owned(), budget as i64),
-            ("queued".to_owned(), remaining as i64),
-        ]
-    });
-}
-
-/// Pre-fills the merge slots with journal-replayed verdicts. Their
-/// classification counters are re-emitted (plus one `mutation.replayed`
-/// each) so a resumed run's per-status counter totals match an
-/// uninterrupted run's. Returns the slots and the done mask the engine
-/// skips by.
-pub(crate) fn replay_slots(
-    mutants: &[Mutant],
-    replayed: Vec<(usize, MutantStatus)>,
-    telemetry: &Telemetry,
-) -> (Vec<Option<MutantResult>>, Vec<bool>) {
-    let mut slots: Vec<Option<MutantResult>> = Vec::new();
-    slots.resize_with(mutants.len(), || None);
-    let mut done = vec![false; mutants.len()];
-    for (index, status) in replayed {
-        if done[index] {
-            continue;
-        }
-        record_status(telemetry, &status);
-        telemetry.incr("mutation.replayed");
-        slots[index] = Some(MutantResult {
-            mutant: mutants[index].clone(),
-            status,
-        });
-        done[index] = true;
-    }
-    (slots, done)
-}
-
-/// Sequential heartbeat cadence: one `campaign.progress` snapshot per
-/// this many verdicts (plus a final one).
-const HEARTBEAT_EVERY_VERDICTS: usize = 32;
-
-/// Parallel heartbeat cadence: the supervisor emits a snapshot when at
-/// least this long has passed since the previous one.
-pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
-
-/// How long the supervisor blocks on the verdict channel before waking
-/// to consider a heartbeat.
-pub(crate) const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
-
-/// Messages workers stream to the supervising thread.
-enum WorkerMsg {
-    /// One classified mutant (including worker-crash quarantines) from
-    /// the given worker; the supervisor journals it, then merges it into
-    /// its slot.
-    Verdict(usize, usize, MutantResult),
-    /// The sending worker retired: queue drained, or crashed.
-    Retired {
-        /// True when the worker's drain ended in a contained crash (or a
-        /// panic outside the drain loop entirely).
-        crashed: bool,
-    },
-}
-
 /// Runs a full mutation analysis, sequentially.
 ///
 /// `switch` must be the same [`MutationSwitch`] the factory's components
 /// read through — arming it is how a mutant becomes "compiled in". This
-/// is the `workers = 1` instantiation of the sharded engine behind
-/// [`run_mutation_analysis_parallel`]: same queue, same classifier, same
-/// verdicts — it merely borrows the caller's factory/switch pair instead
-/// of building per-worker ones.
+/// is the reference oracle every other executor is differentially tested
+/// against: one in-process lease over the campaign ledger, on the
+/// caller's own factory/switch pair instead of per-worker ones — same
+/// classifier, same merge, same verdicts.
 ///
 /// # Examples
 ///
@@ -1228,59 +1003,29 @@ pub fn run_mutation_analysis(
     // golden/journal/mutant spans nest under the `mutation` root.
     let scoped = config.telemetry.at(run_span.id());
     let telemetry = &scoped;
-    let (mut journal, replayed) =
-        JournalState::open(factory.class_name(), suite, mutants, config, telemetry);
+    let mut ledger = CampaignLedger::open(
+        factory.class_name(),
+        suite,
+        mutants,
+        config,
+        0,
+        0,
+        telemetry,
+    );
     let runner = build_runner(config, telemetry, switch);
     switch.disarm();
     let baseline = run_golden(&runner, factory, suite, mutants, config, telemetry);
-    persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
-    let (mut slots, done) = replay_slots(mutants, replayed, telemetry);
-    let engine = Engine::new(suite, mutants, config, &baseline, done);
-    // Crash containment without a replacement harness: the caller owns
-    // this factory/switch pair, so after a contained crash the same
-    // harness keeps draining. Progress is guaranteed — every crash
-    // consumes (and quarantines) exactly one mutant.
-    loop {
-        let mut since_beat = 0usize;
-        let mut emit = |index: usize, result: MutantResult| {
-            journal.record(index, &result.status);
-            slots[index] = Some(result);
-            since_beat += 1;
-            if since_beat >= HEARTBEAT_EVERY_VERDICTS {
-                since_beat = 0;
-                campaign_heartbeat(telemetry, &slots, &[]);
-            }
-        };
-        if let DrainEnd::Drained = engine.drain(factory, switch, &runner, telemetry, &mut emit) {
-            break;
-        }
-    }
-    switch.disarm();
-    campaign_heartbeat(telemetry, &slots, &[]);
-    let results = collect_slots(mutants, slots);
-    finish_run(telemetry, results, baseline.golden)
-}
-
-/// Collapses the merge slots into the final result vector. The engine
-/// guarantees every slot was claimed, classified or replayed; should
-/// that invariant ever break, the affected mutant is quarantined
-/// (fail-safe) instead of panicking away an otherwise complete campaign.
-pub(crate) fn collect_slots(
-    mutants: &[Mutant],
-    slots: Vec<Option<MutantResult>>,
-) -> Vec<MutantResult> {
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.unwrap_or_else(|| MutantResult {
-                mutant: mutants[index].clone(),
-                status: MutantStatus::Quarantined {
-                    reason: QuarantineReason::WorkerCrash,
-                },
-            })
-        })
-        .collect()
+    persist_coverage(config, &baseline, ledger.fingerprint(), telemetry);
+    let engine = Engine::new(suite, mutants, config, &baseline);
+    let harness = Harness {
+        factory,
+        switch,
+        runner: &runner,
+        telemetry,
+    };
+    engine.run_inline(&harness, &mut ledger);
+    ledger.heartbeat();
+    ledger.finish(mutants, baseline.golden)
 }
 
 /// Runs a full mutation analysis across `config.workers` sharded workers.
@@ -1289,9 +1034,10 @@ pub(crate) fn collect_slots(
 /// [`ClonableFactory`] seam), [`MutationSwitch`], [`TestRunner`] and —
 /// when the budget carries a deadline — watchdog thread and cancel token,
 /// so a hanging mutant stalls only the worker that claimed it. Workers
-/// pull mutant indices from a shared queue and results are merged back in
-/// enumeration order, which makes the output **byte-identical for every
-/// worker count**: same verdict vector, same score, same report tables.
+/// lease mutant indices from one shared campaign ledger and merge results
+/// back by enumeration index, which makes the output **byte-identical
+/// for every worker count**: same verdict vector, same score, same
+/// report tables.
 ///
 /// The golden run and golden probe runs are computed once, up front, and
 /// shared immutably. Each worker records telemetry into a private buffer
@@ -1302,33 +1048,38 @@ pub(crate) fn collect_slots(
 ///
 /// # Supervision and durability
 ///
-/// Workers stream each verdict to a supervising loop on the calling
-/// thread, which journals it (when `config.journal_path` is set) before
-/// merging it into its enumeration-order slot. A worker panic is
+/// Each verdict is journaled (when `config.journal_path` is set) before
+/// it is merged into its enumeration-order slot. A worker panic is
 /// contained: the in-flight mutant is quarantined with
-/// [`QuarantineReason::WorkerCrash`], and the supervisor respawns a
-/// replacement worker while the `config.worker_restarts` budget lasts —
-/// once exhausted the campaign degrades to the surviving workers (and,
-/// if all are gone, finishes inline on the calling thread) rather than
-/// aborting and discarding partial results. On restart with the same
-/// journal path, verified verdicts are replayed and only unfinished
-/// mutants re-execute; the merged output stays byte-identical to an
-/// uninterrupted run.
+/// [`QuarantineReason::WorkerCrash`], and the worker rebuilds its harness
+/// while the `config.worker_restarts` budget lasts — once exhausted the
+/// campaign degrades to the surviving workers (and, if all are gone,
+/// finishes inline on the calling thread) rather than aborting and
+/// discarding partial results. Under [`IsolationMode::Process`] each
+/// worker leases a slice of the queue to a child process instead (see
+/// [`crate::run_shard_worker`]). On restart with the same journal path,
+/// verified verdicts are replayed and only unfinished mutants re-execute;
+/// the merged output stays byte-identical to an uninterrupted run.
 pub fn run_mutation_analysis_parallel(
     shards: &dyn ClonableFactory,
     suite: &TestSuite,
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> MutationRun {
-    if let IsolationMode::Process(spec) = &config.isolation {
-        return crate::shard::run_process_shards(shards, suite, mutants, config, spec);
-    }
     let _hook_guard = config.silence_panics.then(PanicSilencer::install);
     let run_span = config.telemetry.span("mutation", shards.class_name());
     let scoped = config.telemetry.at(run_span.id());
     let telemetry = &scoped;
-    let (mut journal, replayed) =
-        JournalState::open(shards.class_name(), suite, mutants, config, telemetry);
+    let workers = config.workers.clamp(1, mutants.len().max(1));
+    let mut ledger = CampaignLedger::open(
+        shards.class_name(),
+        suite,
+        mutants,
+        config,
+        workers,
+        0,
+        telemetry,
+    );
 
     // Golden shard: the baseline is computed once and shared read-only.
     let golden_switch = MutationSwitch::new();
@@ -1342,162 +1093,141 @@ pub fn run_mutation_analysis_parallel(
         config,
         telemetry,
     );
-    persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
-
+    persist_coverage(config, &baseline, ledger.fingerprint(), telemetry);
     // The gauge reflects the configured pool for the whole campaign (not
     // the post-replay remainder), so a resumed run renders the same
     // harness-health row as the uninterrupted one.
-    let workers = config.workers.clamp(1, mutants.len().max(1));
     telemetry.gauge("mutation.workers", workers as i64);
+    let engine = Engine::new(suite, mutants, config, &baseline);
 
-    let (mut slots, done) = replay_slots(mutants, replayed, telemetry);
-    let engine = Engine::new(suite, mutants, config, &baseline, done);
-    let remaining = slots.iter().filter(|slot| slot.is_none()).count();
-
-    // One private event buffer per worker (including respawned ones),
-    // absorbed in spawn order after the pool retires so the parent's
-    // event stream is reproducible.
+    // One private event buffer per worker, absorbed in spawn order after
+    // the pool retires so the parent's event stream is reproducible.
     let mut sinks: Vec<Arc<MemorySink>> = Vec::new();
-    let mut done_by_worker: Vec<u64> = vec![0; workers];
-    if remaining > 0 {
+    if ledger.has_unleased_work() {
+        // Thread workers lease one mutant at a time. A process worker
+        // leases an equal share of the queue, so a fault-free campaign
+        // spawns one child per worker.
+        let process = match &config.isolation {
+            IsolationMode::Process(spec) => Some((
+                spec,
+                campaign_fingerprint(shards.class_name(), suite, mutants, config),
+            )),
+            IsolationMode::InThread => None,
+        };
+        let lease_size = match process {
+            Some(_) => ledger.unfinished().len().div_ceil(workers),
+            None => 1,
+        };
+        let shared = Mutex::new(ledger);
         std::thread::scope(|scope| {
-            let engine = &engine;
-            let (tx, rx) = mpsc::channel::<WorkerMsg>();
-            let spawn_worker = |worker: usize, sink: Option<Arc<MemorySink>>| {
-                let tx = tx.clone();
+            for slot in 0..workers {
+                let sink = telemetry.is_enabled().then(|| Arc::new(MemorySink::new()));
+                sinks.extend(sink.clone());
+                let (engine, shared) = (&engine, &shared);
                 scope.spawn(move || {
-                    let worker_telemetry = match &sink {
-                        Some(sink) => Telemetry::new(sink.clone()),
+                    let worker_telemetry = match sink {
+                        Some(sink) => Telemetry::new(sink),
                         None => Telemetry::disabled(),
                     };
-                    let verdict_tx = tx.clone();
-                    // The drain already contains classifier panics; this
-                    // outer catch additionally contains harness panics
-                    // (factory construction, runner setup), so no panic
-                    // path can take the campaign down with it.
-                    let body = AssertUnwindSafe(|| {
-                        // The worker span roots this worker's private
-                        // stream; absorb_under grafts it beneath the
-                        // campaign span, and the trace exporter gives it
-                        // its own thread track.
-                        let worker_span =
-                            worker_telemetry.span_with("worker", || format!("w{worker}"));
-                        let worker_scoped = worker_telemetry.at(worker_span.id());
-                        let switch = MutationSwitch::new();
-                        let factory = shards.build_factory(&switch);
-                        let runner = build_runner(engine.config, &worker_scoped, &switch);
-                        let mut emit = |index: usize, result: MutantResult| {
-                            let _ = verdict_tx.send(WorkerMsg::Verdict(worker, index, result));
-                        };
-                        let end = engine.drain(
-                            factory.as_ref(),
-                            &switch,
-                            &runner,
-                            &worker_scoped,
-                            &mut emit,
-                        );
-                        switch.disarm();
-                        worker_span.finish();
-                        end
-                    });
-                    let crashed = !matches!(catch_unwind(body), Ok(DrainEnd::Drained));
-                    let _ = tx.send(WorkerMsg::Retired { crashed });
+                    // The worker span roots this worker's private stream;
+                    // absorb_under grafts it beneath the campaign span,
+                    // and the trace exporter gives it its own track.
+                    let worker_span = worker_telemetry.span_with("worker", || format!("w{slot}"));
+                    let scoped = worker_telemetry.at(worker_span.id());
+                    let cancel = CancelToken::new();
+                    let mut merge = |index, status| {
+                        lock(shared).merge(slot, index, status);
+                    };
+                    match process {
+                        Some((spec, fingerprint)) => run_slot(slot, lease_size, shared, |lease| {
+                            process_lease(spec, fingerprint, lease, &cancel, &scoped, &mut merge)
+                        }),
+                        None => {
+                            // The harness is built once and rebuilt only
+                            // after a contained crash left it suspect.
+                            let switch = MutationSwitch::new();
+                            let mut built = None;
+                            run_slot(slot, lease_size, shared, |lease| {
+                                if built.is_none() {
+                                    built = build_harness(shards, config, &scoped, &switch);
+                                }
+                                let Some((factory, runner)) = &built else {
+                                    return LeaseOutcome::SETUP_FAILED;
+                                };
+                                let harness = Harness {
+                                    factory: factory.as_ref(),
+                                    switch: &switch,
+                                    runner,
+                                    telemetry: &scoped,
+                                };
+                                let outcome =
+                                    engine.run_lease(&harness, lease, &cancel, None, &mut merge);
+                                if matches!(outcome, LeaseOutcome::Crashed { .. }) {
+                                    built = None;
+                                }
+                                outcome
+                            });
+                        }
+                    }
+                    worker_span.finish();
                 });
-            };
-            let mut fresh_sink = || {
-                let sink = telemetry.is_enabled().then(|| Arc::new(MemorySink::new()));
-                if let Some(sink) = &sink {
-                    sinks.push(sink.clone());
-                }
-                sink
-            };
-            let mut active = 0usize;
-            let mut next_worker = 0usize;
-            for _ in 0..workers {
-                spawn_worker(next_worker, fresh_sink());
-                next_worker += 1;
-                active += 1;
-            }
-            // Supervisor: per-sender FIFO guarantees a worker's verdicts
-            // all arrive before its retirement message, so when the last
-            // worker retires every streamed verdict has been merged. The
-            // bounded wait keeps the heartbeat alive while a slow mutant
-            // holds every worker busy.
-            let mut restarts_left = config.worker_restarts;
-            let mut exhaustion_flagged = false;
-            let mut last_beat = Instant::now();
-            while active > 0 {
-                match rx.recv_timeout(SUPERVISOR_POLL) {
-                    Ok(WorkerMsg::Verdict(worker, index, result)) => {
-                        journal.record(index, &result.status);
-                        slots[index] = Some(result);
-                        if worker >= done_by_worker.len() {
-                            done_by_worker.resize(worker + 1, 0);
-                        }
-                        done_by_worker[worker] += 1;
-                    }
-                    Ok(WorkerMsg::Retired { crashed }) => {
-                        active -= 1;
-                        if crashed && engine.has_unclaimed_work() {
-                            if restarts_left > 0 {
-                                restarts_left -= 1;
-                                spawn_worker(next_worker, fresh_sink());
-                                next_worker += 1;
-                                active += 1;
-                            } else if !exhaustion_flagged {
-                                exhaustion_flagged = true;
-                                flag_restart_exhaustion(
-                                    telemetry,
-                                    config.worker_restarts,
-                                    slots.iter().filter(|s| s.is_none()).count(),
-                                );
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-                if telemetry.is_enabled() && last_beat.elapsed() >= HEARTBEAT_INTERVAL {
-                    last_beat = Instant::now();
-                    campaign_heartbeat(telemetry, &slots, &done_by_worker);
-                }
             }
         });
+        ledger = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
     }
-    // Degraded completion: if the restart budget ran out with work still
-    // unclaimed (every worker crashed), finish inline on this thread —
-    // partial results are never discarded.
-    while engine.has_unclaimed_work() {
-        let switch = MutationSwitch::new();
-        let factory = shards.build_factory(&switch);
-        let inline_runner = build_runner(config, telemetry, &switch);
-        let mut emit = |index: usize, result: MutantResult| {
-            journal.record(index, &result.status);
-            slots[index] = Some(result);
-        };
-        let end = engine.drain(
-            factory.as_ref(),
-            &switch,
-            &inline_runner,
-            telemetry,
-            &mut emit,
-        );
-        switch.disarm();
-        if let DrainEnd::Drained = end {
-            break;
-        }
-    }
-    campaign_heartbeat(telemetry, &slots, &done_by_worker);
-    // The merge span covers absorbing the per-worker streams (grafted
-    // under the campaign span so worker trees stay causal subtrees) and
-    // collapsing the verdict slots.
+    // Leftovers, when every worker retired early (restart budget spent,
+    // a harness that never builds, a poisoned shard). Known process
+    // killers are quarantined; the rest finish inline on this thread, on
+    // the golden harness — partial results are never discarded.
+    ledger.convict_blamed();
+    let golden_harness = Harness {
+        factory: golden_factory.as_ref(),
+        switch: &golden_switch,
+        runner: &runner,
+        telemetry,
+    };
+    engine.run_inline(&golden_harness, &mut ledger);
+    ledger.heartbeat();
+    // The merge span covers absorbing the per-worker streams, grafted
+    // under the campaign span so worker trees stay causal subtrees.
     let merge_span = telemetry.span("merge", shards.class_name());
     for sink in sinks {
         telemetry.absorb_under(&sink.events(), run_span.id());
     }
-    let results = collect_slots(mutants, slots);
     merge_span.finish();
-    finish_run(telemetry, results, baseline.golden)
+    ledger.finish(mutants, baseline.golden)
+}
+
+/// One solo worker's loop: lease from the shared ledger, run the lease,
+/// book its end — until no work is left to lease or the ledger rules
+/// this worker out (restart budget spent, harness failure).
+fn run_slot(
+    slot: usize,
+    lease_size: usize,
+    ledger: &Mutex<CampaignLedger>,
+    mut run: impl FnMut(&[usize]) -> LeaseOutcome,
+) {
+    loop {
+        let lease = lock(ledger).take_lease(lease_size);
+        if lease.is_empty() {
+            return;
+        }
+        let outcome = run(&lease);
+        match lock(ledger).lease_ended(slot, &lease, &outcome) {
+            Ruling::Continue(backoff) => {
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+            }
+            Ruling::BudgetSpent | Ruling::HarnessFailure => return,
+        }
+    }
+}
+
+/// Locks the shared ledger. Nothing panics while holding it, but should
+/// a poisoned lock ever appear, its verdicts are still the campaign's.
+fn lock(ledger: &Mutex<CampaignLedger>) -> MutexGuard<'_, CampaignLedger> {
+    ledger.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Decides whether an observed run must be quarantined: any harness stop

@@ -19,11 +19,12 @@
 //!   classification (crash / assertion violation / output difference),
 //!   equivalence probing, and the [`MutationRun`] scores;
 //! * [`run_mutation_analysis_parallel`] / [`ClonableFactory`] — the same
-//!   analysis sharded across a supervised worker pool, each worker owning
-//!   its own factory/switch/runner/watchdog, with crash containment
-//!   (a panicking worker quarantines only its in-flight mutant and is
-//!   respawned under a restart budget) and a deterministic merge so every
-//!   worker count yields byte-identical verdicts;
+//!   analysis sharded across worker threads, each owning its own
+//!   factory/switch/runner/watchdog, with crash containment (a panicking
+//!   worker quarantines only its in-flight mutant and rebuilds its
+//!   harness under a restart budget) and a deterministic merge through
+//!   one campaign ledger, so every worker count yields byte-identical
+//!   verdicts;
 //! * [`IsolationMode`] / [`ProcessIsolation`] / [`run_shard_worker`] —
 //!   optional process isolation for the sharded analysis: shards become
 //!   child processes streaming verdicts over a checksummed frame
@@ -65,6 +66,7 @@ mod enumerate;
 mod fault;
 mod inventory;
 mod journal;
+mod ledger;
 mod matrix;
 mod operators;
 mod orchestrator;

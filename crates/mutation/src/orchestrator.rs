@@ -20,8 +20,8 @@
 //!   starvation-free by aging (a campaign passed over gains effective
 //!   priority each round), so a low-priority campaign always progresses.
 //! * **Isolation of failure** — a crashed or hung lease costs its owning
-//!   campaign exactly the in-flight mutant (the retry-once-then-quarantine
-//!   ladder of the process shards), a cancelled campaign tears down
+//!   campaign exactly the in-flight mutant (the campaign ledger's
+//!   retry-once-then-quarantine ladder, shared with solo runs), a cancelled campaign tears down
 //!   cleanly with its journal flushed (resumable via the incremental
 //!   path), budget exhaustion degrades only its own campaign to
 //!   [`DegradeReason::BudgetExhausted`], and cancelling the service-level
@@ -33,38 +33,39 @@
 //! The non-negotiable invariant: every campaign's verdicts, score, and
 //! report are **byte-identical** to running that campaign alone, for any
 //! interleaving, fleet size, and cancel/crash schedule of its neighbors.
-//! The mechanism is the same as the worker pool's: verdicts are
+//! The mechanism is the same as a solo run's — the same ledger, lease
+//! loop and process lease, under a different scheduler: verdicts are
 //! deterministic per mutant, merged by enumeration index, and a verdict
 //! is only merged while its campaign is healthy — a draining campaign
 //! discards late verdicts so its journal holds exactly the verified
 //! prefix a resume replays.
 
 use crate::analysis::{
-    build_runner, campaign_heartbeat, collect_slots, finish_run, flag_restart_exhaustion,
-    persist_coverage, record_status, replay_slots, Engine, GoldenBaseline, JournalState,
+    build_harness, build_runner, persist_coverage, Engine, GoldenBaseline, Harness, IsolationMode,
     MutantResult, MutantStatus, MutationConfig, MutationRun, PanicSilencer, ProcessIsolation,
-    QuarantineReason, HEARTBEAT_INTERVAL, SUPERVISOR_POLL,
+    QuarantineReason,
 };
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
 use crate::journal::campaign_fingerprint;
-use crate::shard::{
-    death_reason, parse_frame, ShardFrame, SHARD_FINGERPRINT_ENV, SHARD_INDICES_ENV,
-};
+use crate::ledger::{CampaignLedger, LeaseOutcome, Ruling};
+use crate::shard::process_lease;
 use concat_driver::{SuiteResult, TestSuite};
 use concat_obs::{Event, MemorySink, Span, Telemetry};
-use concat_runtime::{
-    classify_exit, terminate_child, wait_with_deadline, CancelToken, ExitClass, FrameDecoder,
-    Liveness, Rng,
-};
+use concat_runtime::CancelToken;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::process::Stdio;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long the supervisor blocks on its channel before waking to
+/// schedule and emit the fleet heartbeat.
+const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
+
+/// Minimum spacing of `orchestrator.progress` heartbeats.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Per-slot supervision deadlines, configurable per campaign so one
 /// slow-starting subject is not falsely convicted `ShardUnresponsive` by
@@ -103,12 +104,12 @@ impl SlotConfig {
             return cfg;
         }
         match &config.isolation {
-            crate::analysis::IsolationMode::Process(spec) => SlotConfig {
+            IsolationMode::Process(spec) => SlotConfig {
                 startup_grace: spec.startup_grace,
                 heartbeat_timeout: spec.heartbeat_timeout,
                 term_grace: spec.term_grace,
             },
-            crate::analysis::IsolationMode::InThread => SlotConfig::default(),
+            IsolationMode::InThread => SlotConfig::default(),
         }
     }
 }
@@ -367,6 +368,9 @@ struct CampaignRuntime {
     data: Arc<CampaignData>,
     baseline: GoldenBaseline,
     fingerprint: u32,
+    /// Process leases' spec, under the campaign's [`SlotConfig`]
+    /// deadlines; `None` for thread leases.
+    spec: Option<ProcessIsolation>,
 }
 
 /// Client → supervisor commands.
@@ -380,31 +384,6 @@ enum Command {
     List(mpsc::Sender<Vec<CampaignStatus>>),
     Wait(CampaignId, mpsc::Sender<Option<CampaignOutcome>>),
     Shutdown(mpsc::Sender<Vec<CampaignStatus>>),
-}
-
-/// How one lease ended, from the slot's point of view.
-enum LeaseOutcome {
-    /// Every leased mutant got a verdict.
-    Drained,
-    /// The campaign (or service) token cancelled the lease; unemitted
-    /// verdicts were discarded.
-    Aborted,
-    /// The lease died: a thread lease's harness panicked, or a process
-    /// lease's shard exited with work left.
-    Crashed {
-        /// The mutant named by the last `shard-begin` without a verdict —
-        /// the one the death is blamed on (process leases only; thread
-        /// leases emit the quarantine verdict themselves).
-        in_flight: Option<usize>,
-        /// The quarantine reason a repeated death convicts with.
-        reason: QuarantineReason,
-        /// The shard rebuilt a different campaign (hello fingerprint
-        /// mismatch) — deterministic on retry, so the campaign degrades.
-        poisoned: bool,
-        /// Verdicts emitted before the death (progress signal for the
-        /// futility guard).
-        emitted: u64,
-    },
 }
 
 /// Everything the supervisor receives: commands and slot events, one
@@ -436,15 +415,9 @@ enum SlotCmd {
     Prepare {
         data: Arc<CampaignData>,
     },
-    ThreadLease {
+    Lease {
         rt: Arc<CampaignRuntime>,
         indices: Vec<usize>,
-    },
-    ProcessLease {
-        rt: Arc<CampaignRuntime>,
-        indices: Vec<usize>,
-        spec: ProcessIsolation,
-        slot_cfg: SlotConfig,
     },
     Shutdown,
 }
@@ -456,26 +429,15 @@ struct Campaign {
     priority: u8,
     mutant_budget: Option<u64>,
     slot_cfg: SlotConfig,
-    spec: Option<ProcessIsolation>,
     phase: CampaignPhase,
     rt: Option<Arc<CampaignRuntime>>,
-    journal: Option<JournalState>,
-    slots: Vec<Option<MutantResult>>,
-    leased: Vec<bool>,
-    deaths: HashMap<usize, u32>,
+    /// Opened once the golden baseline is prepared; its journal closes
+    /// at finalization.
+    ledger: Option<CampaignLedger>,
     executed: u64,
-    replayed: u64,
-    crashes: u64,
-    /// Consecutive leases that died without emitting a verdict or
-    /// charging an in-flight mutant — the signature of a harness that
-    /// will never progress.
-    futile: u32,
-    exhaustion_flagged: bool,
     active_leases: usize,
     /// Crash backoff: no new lease for this campaign before this instant.
     next_lease_at: Instant,
-    backoff_rng: Rng,
-    respawns: u32,
     /// Scheduling rounds this campaign was runnable but passed over;
     /// added to priority so nobody starves.
     starved: u32,
@@ -488,17 +450,15 @@ struct Campaign {
     root: Option<Span>,
     /// Campaign telemetry scoped at the root span.
     telemetry: Telemetry,
-    done_by_slot: Vec<u64>,
-    last_beat: Instant,
 }
 
 impl Campaign {
     fn done(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.ledger.as_ref().map_or(0, CampaignLedger::done)
     }
 
     fn unfinished(&self) -> usize {
-        self.slots.len() - self.done()
+        self.data.mutants.len() - self.done()
     }
 
     fn status(&self) -> CampaignStatus {
@@ -507,9 +467,9 @@ impl Campaign {
             name: self.name.clone(),
             phase: self.phase,
             done: self.done(),
-            total: self.slots.len(),
+            total: self.data.mutants.len(),
             executed: self.executed,
-            replayed: self.replayed,
+            replayed: self.ledger.as_ref().map_or(0, |l| l.replayed() as u64),
             priority: self.priority,
             slot: self.slot_cfg,
         }
@@ -521,25 +481,9 @@ impl Campaign {
             && !self.data.token.is_cancelled()
             && now >= self.next_lease_at
             && self
-                .slots
-                .iter()
-                .zip(self.leased.iter())
-                .any(|(slot, leased)| slot.is_none() && !leased)
-    }
-
-    /// The next `lease_size` unfinished, unleased mutant indices.
-    fn take_lease(&mut self, lease_size: usize) -> Vec<usize> {
-        let mut indices = Vec::with_capacity(lease_size);
-        for index in 0..self.slots.len() {
-            if self.slots[index].is_none() && !self.leased[index] {
-                self.leased[index] = true;
-                indices.push(index);
-                if indices.len() == lease_size {
-                    break;
-                }
-            }
-        }
-        indices
+                .ledger
+                .as_ref()
+                .is_some_and(CampaignLedger::has_unleased_work)
     }
 }
 
@@ -548,14 +492,13 @@ impl Campaign {
 // ---------------------------------------------------------------------
 
 /// A slot worker's main loop: block for a command, run it, report back.
-/// The worker thread is persistent — lease bodies run under
-/// `catch_unwind`, so no campaign can cost the fleet a slot.
+/// The worker thread is persistent — lease bodies contain their panics,
+/// so no campaign can cost the fleet a slot.
 fn slot_main(slot: usize, rx: mpsc::Receiver<SlotCmd>, tx: mpsc::Sender<Msg>) {
     while let Ok(cmd) = rx.recv() {
-        match cmd {
+        let sent = match cmd {
             SlotCmd::Prepare { data } => {
                 let (sink, telemetry) = lease_telemetry(&data.config.telemetry);
-                let id = data.id;
                 let baseline = catch_unwind(AssertUnwindSafe(|| {
                     let switch = MutationSwitch::with_cancel_token(data.token.child());
                     let factory = data.shards.build_factory(&switch);
@@ -571,59 +514,56 @@ fn slot_main(slot: usize, rx: mpsc::Receiver<SlotCmd>, tx: mpsc::Sender<Msg>) {
                 }))
                 .ok()
                 .map(Box::new);
-                let events = sink.map(|s| s.events()).unwrap_or_default();
-                if tx
-                    .send(Msg::Prepared {
-                        slot,
-                        id,
-                        baseline,
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
+                tx.send(Msg::Prepared {
+                    slot,
+                    id: data.id,
+                    baseline,
+                    events: sink.map(|s| s.events()).unwrap_or_default(),
+                })
             }
-            SlotCmd::ThreadLease { rt, indices } => {
+            SlotCmd::Lease { rt, indices } => {
                 let (sink, telemetry) = lease_telemetry(&rt.data.config.telemetry);
                 let id = rt.data.id;
-                let outcome = thread_lease(slot, &rt, &indices, &telemetry, &tx);
-                let events = sink.map(|s| s.events()).unwrap_or_default();
-                if tx
-                    .send(Msg::LeaseEnded {
+                let lease_span = telemetry.span_with("lease", || {
+                    let mode = if rt.spec.is_some() {
+                        "process"
+                    } else {
+                        "thread"
+                    };
+                    format!("{id} {mode}")
+                });
+                let scoped = telemetry.at(lease_span.id());
+                let mut forward = |index: usize, status: MutantStatus| {
+                    let _ = tx.send(Msg::Verdict {
                         slot,
                         id,
-                        outcome,
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            SlotCmd::ProcessLease {
-                rt,
-                indices,
-                spec,
-                slot_cfg,
-            } => {
-                let (sink, telemetry) = lease_telemetry(&rt.data.config.telemetry);
-                let id = rt.data.id;
-                let outcome = process_lease(slot, &rt, &indices, &spec, slot_cfg, &telemetry, &tx);
-                let events = sink.map(|s| s.events()).unwrap_or_default();
-                if tx
-                    .send(Msg::LeaseEnded {
-                        slot,
-                        id,
-                        outcome,
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
+                        index,
+                        status,
+                    });
+                };
+                let outcome = match &rt.spec {
+                    Some(spec) => process_lease(
+                        spec,
+                        rt.fingerprint,
+                        &indices,
+                        &rt.data.token,
+                        &scoped,
+                        &mut forward,
+                    ),
+                    None => thread_lease(&rt, &indices, &scoped, &mut forward),
+                };
+                lease_span.finish();
+                tx.send(Msg::LeaseEnded {
+                    slot,
+                    id,
+                    outcome,
+                    events: sink.map(|s| s.events()).unwrap_or_default(),
+                })
             }
             SlotCmd::Shutdown => return,
+        };
+        if sent.is_err() {
+            return;
         }
     }
 }
@@ -641,268 +581,38 @@ fn lease_telemetry(campaign: &Telemetry) -> (Option<Arc<MemorySink>>, Telemetry)
 }
 
 /// One in-thread lease: build a private factory/switch/runner (the same
-/// trio a pool worker owns), classify each leased mutant, stream verdicts
-/// to the supervisor. The switch's token, which the runner adopts, is a
-/// child of the campaign token, so campaign or service cancellation
-/// interrupts the in-flight case like a watchdog deadline — and a
-/// verdict finished *after* the cancellation is discarded, never merged,
-/// because a case interrupted mid-flight classifies differently than a
-/// solo run would.
+/// trio a solo worker owns) and run the shared lease loop over it. The
+/// switch's token, which the runner adopts, is a child of the campaign
+/// token, so campaign or service cancellation interrupts the in-flight
+/// case like a watchdog deadline — and the lease loop discards a verdict
+/// finished *after* the cancellation, because a case interrupted
+/// mid-flight classifies differently than a solo run would.
 fn thread_lease(
-    slot: usize,
-    rt: &Arc<CampaignRuntime>,
+    rt: &CampaignRuntime,
     indices: &[usize],
     telemetry: &Telemetry,
-    tx: &mpsc::Sender<Msg>,
+    forward: &mut dyn FnMut(usize, MutantStatus),
 ) -> LeaseOutcome {
     let data = &rt.data;
-    let token = &data.token;
-    let lease_span = telemetry.span_with("lease", || format!("{} thread", data.id));
-    let scoped = telemetry.at(lease_span.id());
-    let setup = catch_unwind(AssertUnwindSafe(|| {
-        let switch = MutationSwitch::with_cancel_token(token.child());
-        let factory = data.shards.build_factory(&switch);
-        let runner = build_runner(&data.config, &scoped, &switch);
-        (switch, factory, runner)
-    }));
-    let Ok((switch, factory, runner)) = setup else {
-        scoped.incr("mutation.worker_crash");
-        return LeaseOutcome::Crashed {
-            in_flight: None,
-            reason: QuarantineReason::WorkerCrash,
-            poisoned: false,
-            emitted: 0,
-        };
+    let switch = MutationSwitch::with_cancel_token(data.token.child());
+    let Some((factory, runner)) =
+        build_harness(data.shards.as_ref(), &data.config, telemetry, &switch)
+    else {
+        return LeaseOutcome::SETUP_FAILED;
     };
-    let engine = Engine::new(
-        &data.suite,
-        &data.mutants,
-        &data.config,
-        &rt.baseline,
-        vec![false; data.mutants.len()],
-    );
-    let mut emitted = 0u64;
-    for &index in indices {
-        if token.is_cancelled() {
-            return LeaseOutcome::Aborted;
-        }
-        let Some(mutant) = data.mutants.get(index) else {
-            continue;
-        };
-        let verdict = catch_unwind(AssertUnwindSafe(|| {
-            engine.classify(factory.as_ref(), &switch, &runner, &scoped, mutant)
-        }));
-        match verdict {
-            Ok(status) => {
-                if token.is_cancelled() {
-                    // The cancellation raced the classification: the
-                    // verdict may reflect an interrupted case. Discard it
-                    // — the mutant stays unfinished and re-executes on
-                    // resume, keeping the journal byte-identical to a
-                    // solo run's prefix.
-                    return LeaseOutcome::Aborted;
-                }
-                let _ = tx.send(Msg::Verdict {
-                    slot,
-                    id: data.id,
-                    index,
-                    status,
-                });
-                emitted += 1;
-            }
-            Err(_panic) => {
-                // Same contract as the pool worker's drain: the panicking
-                // mutant is quarantined as WorkerCrash (its verdict in a
-                // solo run too), and the lease retires so the supervisor
-                // can decide what the crash cost.
-                scoped.incr("mutation.worker_crash");
-                let _ = tx.send(Msg::Verdict {
-                    slot,
-                    id: data.id,
-                    index,
-                    status: MutantStatus::Quarantined {
-                        reason: QuarantineReason::WorkerCrash,
-                    },
-                });
-                return LeaseOutcome::Crashed {
-                    in_flight: None,
-                    reason: QuarantineReason::WorkerCrash,
-                    poisoned: false,
-                    emitted: emitted + 1,
-                };
-            }
-        }
-    }
-    switch.disarm();
-    LeaseOutcome::Drained
-}
-
-/// What a process lease's reader thread reports.
-enum PipeEvent {
-    Frame(String),
-    Eof { dropped: u64, torn: bool },
-}
-
-/// One process-isolated lease: spawn a shard worker (a self-exec of the
-/// current binary, exactly like [`crate::run_shard_worker`]'s supervisor
-/// half), hand it the leased indices, and relay its verdict frames.
-/// Liveness runs under the *campaign's* [`SlotConfig`] deadlines, so a
-/// slow-starting subject is judged by its own grace, not its neighbors'.
-fn process_lease(
-    slot: usize,
-    rt: &Arc<CampaignRuntime>,
-    indices: &[usize],
-    spec: &ProcessIsolation,
-    slot_cfg: SlotConfig,
-    telemetry: &Telemetry,
-    tx: &mpsc::Sender<Msg>,
-) -> LeaseOutcome {
-    let data = &rt.data;
-    let token = &data.token;
-    let lease_span = telemetry.span_with("lease", || format!("{} process", data.id));
-    let scoped = telemetry.at(lease_span.id());
-    let crash = |reason| LeaseOutcome::Crashed {
-        in_flight: None,
-        reason,
-        poisoned: false,
-        emitted: 0,
+    let engine = Engine::new(&data.suite, &data.mutants, &data.config, &rt.baseline);
+    let harness = Harness {
+        factory: factory.as_ref(),
+        switch: &switch,
+        runner: &runner,
+        telemetry,
     };
-    let Ok(exe) = std::env::current_exe() else {
-        scoped.incr("harden.degraded");
-        return crash(QuarantineReason::WorkerCrash);
-    };
-    let csv = indices
-        .iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut command = std::process::Command::new(exe);
-    command
-        .args(&spec.worker_args)
-        .env(SHARD_INDICES_ENV, csv)
-        .env(SHARD_FINGERPRINT_ENV, format!("{:08x}", rt.fingerprint))
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    for (key, value) in &spec.worker_env {
-        command.env(key, value);
-    }
-    let Ok(mut child) = command.spawn() else {
-        scoped.incr("harden.degraded");
-        return crash(QuarantineReason::WorkerCrash);
-    };
-    let Some(stdout) = child.stdout.take() else {
-        let _ = terminate_child(&mut child, slot_cfg.term_grace);
-        scoped.incr("harden.degraded");
-        return crash(QuarantineReason::WorkerCrash);
-    };
-    let (ptx, prx) = mpsc::channel::<PipeEvent>();
-    let reader = std::thread::spawn(move || {
-        let mut stdout = stdout;
-        let mut decoder = FrameDecoder::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            match stdout.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    for payload in decoder.push(&chunk[..n]) {
-                        if ptx.send(PipeEvent::Frame(payload)).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        let _ = ptx.send(PipeEvent::Eof {
-            dropped: decoder.dropped(),
-            torn: decoder.pending_bytes() > 0,
-        });
-    });
-
-    let mut liveness = Liveness::new(slot_cfg.startup_grace, slot_cfg.heartbeat_timeout);
-    let mut in_flight: Option<usize> = None;
-    let mut killed_unresponsive = false;
-    let mut poisoned = false;
-    let mut aborted = false;
-    let mut emitted = 0u64;
-    loop {
-        match prx.recv_timeout(Duration::from_millis(50)) {
-            Ok(PipeEvent::Frame(payload)) => {
-                liveness.beat();
-                match parse_frame(&payload) {
-                    ShardFrame::Hello(fp) if fp == rt.fingerprint => {}
-                    ShardFrame::Hello(_) => {
-                        // The worker rebuilt a different campaign — a
-                        // config bug, deterministic on retry. Degrade
-                        // this campaign; the fleet is unaffected.
-                        poisoned = true;
-                        scoped.incr("harden.degraded");
-                        let _ = terminate_child(&mut child, slot_cfg.term_grace);
-                    }
-                    ShardFrame::Begin(index) => in_flight = Some(index),
-                    ShardFrame::Verdict(index, status) => {
-                        if !token.is_cancelled() {
-                            let _ = tx.send(Msg::Verdict {
-                                slot,
-                                id: data.id,
-                                index,
-                                status,
-                            });
-                            emitted += 1;
-                        }
-                        if in_flight == Some(index) {
-                            in_flight = None;
-                        }
-                    }
-                    ShardFrame::Done | ShardFrame::Foreign => {}
-                }
-            }
-            Ok(PipeEvent::Eof { dropped, torn }) => {
-                let torn_frames = dropped + u64::from(torn);
-                if torn_frames > 0 {
-                    scoped.incr_by("mutation.frames_dropped", torn_frames);
-                }
-                break;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-        if token.is_cancelled() && !aborted {
-            aborted = true;
-            let _ = terminate_child(&mut child, slot_cfg.term_grace);
-        }
-        if !killed_unresponsive && !aborted && liveness.expired() {
-            killed_unresponsive = true;
-            scoped.incr("mutation.shard_kill");
-            let _ = terminate_child(&mut child, slot_cfg.term_grace);
-        }
-    }
-    let _ = reader.join();
-    let class = match wait_with_deadline(&mut child, slot_cfg.term_grace) {
-        Ok(status) => classify_exit(status),
-        Err(_) => ExitClass::Signal(-1),
-    };
-    if aborted || token.is_cancelled() {
-        return LeaseOutcome::Aborted;
-    }
-    if emitted as usize == indices.len() && !poisoned {
-        return LeaseOutcome::Drained;
-    }
-    LeaseOutcome::Crashed {
-        in_flight,
-        reason: death_reason(class, killed_unresponsive),
-        poisoned,
-        emitted,
-    }
+    engine.run_lease(&harness, indices, &data.token, None, forward)
 }
 
 // ---------------------------------------------------------------------
 // Supervisor
 // ---------------------------------------------------------------------
-
-/// How many consecutive zero-progress lease deaths degrade a campaign to
-/// [`DegradeReason::HarnessFailure`].
-const FUTILE_LEASES: u32 = 3;
 
 struct Supervisor {
     config: OrchestratorConfig,
@@ -1035,12 +745,6 @@ impl Supervisor {
         let id = CampaignId(self.next_id);
         self.next_id += 1;
         let slot_cfg = SlotConfig::effective(request.slot, &request.config);
-        let spec = match &request.config.isolation {
-            crate::analysis::IsolationMode::Process(spec) => Some(spec.clone()),
-            crate::analysis::IsolationMode::InThread => None,
-        };
-        let backoff_seed = spec.as_ref().map(|s| s.backoff_seed).unwrap_or(0) ^ id.0;
-        let total = request.mutants.len();
         let campaign_telemetry = request.config.telemetry.clone();
         let root = campaign_telemetry.span_with("campaign", || format!("{id} {}", request.name));
         let scoped = campaign_telemetry.at(root.id());
@@ -1058,34 +762,18 @@ impl Supervisor {
             priority: request.priority,
             mutant_budget: request.mutant_budget,
             slot_cfg,
-            spec,
             phase: CampaignPhase::Queued,
             rt: None,
-            journal: None,
-            slots: {
-                let mut v = Vec::new();
-                v.resize_with(total, || None);
-                v
-            },
-            leased: vec![false; total],
-            deaths: HashMap::new(),
+            ledger: None,
             executed: 0,
-            replayed: 0,
-            crashes: 0,
-            futile: 0,
-            exhaustion_flagged: false,
             active_leases: 0,
             next_lease_at: Instant::now(),
-            backoff_rng: Rng::seed_from_u64(backoff_seed),
-            respawns: 0,
             starved: 0,
             pending_end: None,
             outcome: None,
             waiters: Vec::new(),
             root: Some(root),
             telemetry: scoped,
-            done_by_slot: vec![0; self.config.slots],
-            last_beat: Instant::now(),
         };
         self.campaigns.insert(id, campaign);
         self.config.telemetry.incr("orchestrator.admitted");
@@ -1144,31 +832,41 @@ impl Supervisor {
         };
         let data = campaign.data.clone();
         let scoped = campaign.telemetry.clone();
-        let (journal, replayed) = JournalState::open(
+        let ledger = CampaignLedger::open(
             data.shards.class_name(),
             &data.suite,
             &data.mutants,
             &data.config,
+            self.config.slots,
+            id.0,
             &scoped,
         );
-        persist_coverage(&data.config, &baseline, journal.fingerprint(), &scoped);
+        persist_coverage(&data.config, &baseline, ledger.fingerprint(), &scoped);
+        if ledger.replayed() > 0 {
+            self.config.telemetry.incr("orchestrator.resumed");
+        }
+        campaign.ledger = Some(ledger);
         let fingerprint = campaign_fingerprint(
             data.shards.class_name(),
             &data.suite,
             &data.mutants,
             &data.config,
         );
-        let (slots, _done) = replay_slots(&data.mutants, replayed, &scoped);
-        campaign.replayed = slots.iter().filter(|s| s.is_some()).count() as u64;
-        if campaign.replayed > 0 {
-            self.config.telemetry.incr("orchestrator.resumed");
-        }
-        campaign.slots = slots;
-        campaign.journal = Some(journal);
+        // Process leases run under this campaign's own slot deadlines.
+        let spec = match &data.config.isolation {
+            IsolationMode::Process(spec) => Some(ProcessIsolation {
+                startup_grace: campaign.slot_cfg.startup_grace,
+                heartbeat_timeout: campaign.slot_cfg.heartbeat_timeout,
+                term_grace: campaign.slot_cfg.term_grace,
+                ..spec.clone()
+            }),
+            IsolationMode::InThread => None,
+        };
         campaign.rt = Some(Arc::new(CampaignRuntime {
             data,
             baseline: *baseline,
             fingerprint,
+            spec,
         }));
         campaign.phase = CampaignPhase::Running;
         campaign
@@ -1193,19 +891,11 @@ impl Supervisor {
         if campaign.phase != CampaignPhase::Running || campaign.data.token.is_cancelled() {
             return;
         }
-        if index >= campaign.slots.len() || campaign.slots[index].is_some() {
+        let Some(ledger) = &mut campaign.ledger else {
             return;
-        }
-        if let Some(journal) = &mut campaign.journal {
-            journal.record(index, &status);
-        }
-        record_status(&campaign.telemetry, &status);
-        campaign.slots[index] = Some(MutantResult {
-            mutant: campaign.data.mutants[index].clone(),
-            status,
-        });
-        if let Some(counter) = campaign.done_by_slot.get_mut(slot) {
-            *counter += 1;
+        };
+        if !ledger.merge(slot, index, status) {
+            return;
         }
         campaign.executed += 1;
         if campaign.unfinished() == 0 {
@@ -1262,31 +952,29 @@ impl Supervisor {
         };
         campaign.active_leases -= 1;
         absorb_lease(campaign, &events);
-        // Return unmerged leased indices to the pool.
-        if let Some((lease_id, indices)) = lease {
-            if lease_id == id {
-                for index in indices {
-                    if campaign.slots[index].is_none() {
-                        campaign.leased[index] = false;
+        let indices = match lease {
+            Some((lease_id, indices)) if lease_id == id => indices,
+            _ => Vec::new(),
+        };
+        if let Some(ledger) = &mut campaign.ledger {
+            if campaign.phase != CampaignPhase::Running {
+                // A draining campaign books no deaths: its journal keeps
+                // exactly the verified prefix a resume replays.
+                ledger.release(&indices);
+            } else {
+                match ledger.lease_ended(slot, &indices, &outcome) {
+                    Ruling::Continue(backoff) => campaign.next_lease_at = Instant::now() + backoff,
+                    // The fleet keeps leasing past the restart budget;
+                    // the ledger has flagged the exhaustion.
+                    Ruling::BudgetSpent => {}
+                    Ruling::HarnessFailure => {
+                        campaign.data.token.cancel();
+                        campaign.pending_end =
+                            Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
                     }
                 }
             }
         }
-        if campaign.phase == CampaignPhase::Running {
-            match outcome {
-                LeaseOutcome::Drained => campaign.futile = 0,
-                LeaseOutcome::Aborted => {}
-                LeaseOutcome::Crashed {
-                    in_flight,
-                    reason,
-                    poisoned,
-                    emitted,
-                } => self.handle_crash(id, slot, in_flight, reason, poisoned, emitted),
-            }
-        }
-        let Some(campaign) = self.campaigns.get_mut(&id) else {
-            return;
-        };
         if campaign.phase == CampaignPhase::Running && campaign.unfinished() == 0 {
             campaign.pending_end = Some(CampaignPhase::Completed);
         }
@@ -1294,84 +982,6 @@ impl Supervisor {
             self.finalize(id);
         } else if campaign.pending_end.is_some() {
             campaign.phase = CampaignPhase::Draining;
-        }
-    }
-
-    /// The death ladder, shared with the solo process supervisor: a first
-    /// death returns the in-flight mutant to the queue (an innocent
-    /// mutant killed from outside must re-execute for byte-identical
-    /// reports); a second death convicts it with the reason derived from
-    /// how the shard died. Leases that die repeatedly with no progress at
-    /// all degrade the campaign instead of spinning forever.
-    fn handle_crash(
-        &mut self,
-        id: CampaignId,
-        slot: usize,
-        in_flight: Option<usize>,
-        reason: QuarantineReason,
-        poisoned: bool,
-        emitted: u64,
-    ) {
-        let Some(campaign) = self.campaigns.get_mut(&id) else {
-            return;
-        };
-        campaign.crashes += 1;
-        if poisoned {
-            campaign.data.token.cancel();
-            campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
-            return;
-        }
-        let mut progress = emitted > 0;
-        if let Some(index) = in_flight {
-            if index < campaign.slots.len() && campaign.slots[index].is_none() {
-                let deaths = campaign.deaths.entry(index).or_insert(0);
-                *deaths += 1;
-                if *deaths >= 2 {
-                    let status = MutantStatus::Quarantined { reason };
-                    if let Some(journal) = &mut campaign.journal {
-                        journal.record(index, &status);
-                    }
-                    record_status(&campaign.telemetry, &status);
-                    campaign.slots[index] = Some(MutantResult {
-                        mutant: campaign.data.mutants[index].clone(),
-                        status,
-                    });
-                    if let Some(counter) = campaign.done_by_slot.get_mut(slot) {
-                        *counter += 1;
-                    }
-                }
-                progress = true;
-            }
-        }
-        if progress {
-            campaign.futile = 0;
-        } else {
-            campaign.futile += 1;
-            if campaign.futile >= FUTILE_LEASES {
-                campaign.data.token.cancel();
-                campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
-                return;
-            }
-        }
-        // Process campaigns back off before their next lease, on the
-        // same jittered envelope the solo supervisor respawns under.
-        if let Some(spec) = campaign.spec.clone() {
-            campaign.respawns += 1;
-            campaign.telemetry.incr("mutation.shard_respawn");
-            let delay = spec
-                .respawn_backoff
-                .jittered_delay(campaign.respawns, &mut campaign.backoff_rng);
-            campaign.next_lease_at = Instant::now() + delay;
-        }
-        if campaign.crashes > campaign.data.config.worker_restarts as u64
-            && !campaign.exhaustion_flagged
-        {
-            campaign.exhaustion_flagged = true;
-            flag_restart_exhaustion(
-                &campaign.telemetry,
-                campaign.data.config.worker_restarts,
-                campaign.unfinished(),
-            );
         }
     }
 
@@ -1386,7 +996,10 @@ impl Supervisor {
             .take()
             .unwrap_or(CampaignPhase::Cancelled);
         campaign.phase = end_phase;
-        campaign_heartbeat(&campaign.telemetry, &campaign.slots, &campaign.done_by_slot);
+        if let Some(ledger) = &mut campaign.ledger {
+            ledger.heartbeat();
+        }
+        let mutants = &campaign.data.mutants;
         let golden = campaign
             .rt
             .as_ref()
@@ -1396,15 +1009,28 @@ impl Supervisor {
                 cases: Vec::new(),
                 notes: Vec::new(),
             });
-        let end = match end_phase {
-            CampaignPhase::Completed => {
+        let end = match (end_phase, &campaign.ledger) {
+            (CampaignPhase::Completed, Some(ledger)) => {
                 self.config.telemetry.incr("orchestrator.completed");
-                let results = collect_slots(&campaign.data.mutants, campaign.slots.clone());
-                CampaignEnd::Completed(Box::new(finish_run(&campaign.telemetry, results, golden)))
+                CampaignEnd::Completed(Box::new(ledger.finish(mutants, golden)))
             }
-            CampaignPhase::Degraded(reason) => {
+            (CampaignPhase::Degraded(reason), ledger) => {
                 self.config.telemetry.incr("orchestrator.degraded");
-                let results = collect_slots(&campaign.data.mutants, campaign.slots.clone());
+                // Unfinished mutants appear as `WorkerCrash` quarantines
+                // (a campaign whose golden run panicked has no ledger:
+                // every mutant is unfinished).
+                let results = match ledger {
+                    Some(ledger) => ledger.results(mutants),
+                    None => mutants
+                        .iter()
+                        .map(|mutant| MutantResult {
+                            mutant: mutant.clone(),
+                            status: MutantStatus::Quarantined {
+                                reason: QuarantineReason::WorkerCrash,
+                            },
+                        })
+                        .collect(),
+                };
                 CampaignEnd::Degraded {
                     reason,
                     partial: Box::new(MutationRun { results, golden }),
@@ -1421,10 +1047,12 @@ impl Supervisor {
             let _ = waiter.send(Some(outcome.clone()));
         }
         campaign.outcome = Some(outcome);
-        // Release the heavyweight state; the journal (dropped here) was
+        // Release the heavyweight state; the journal (closed here) was
         // fsynced per append, so the campaign is already checkpointed.
         campaign.rt = None;
-        campaign.journal = None;
+        if let Some(ledger) = &mut campaign.ledger {
+            ledger.close_journal();
+        }
         if let Some(root) = campaign.root.take() {
             root.finish();
         }
@@ -1487,40 +1115,24 @@ impl Supervisor {
                 continue;
             };
             campaign.starved = 0;
-            let indices = campaign.take_lease(lease_size);
+            let (Some(ledger), Some(rt)) = (&mut campaign.ledger, campaign.rt.clone()) else {
+                continue;
+            };
+            let indices = ledger.take_lease(lease_size);
             if indices.is_empty() {
                 continue;
             }
             campaign.active_leases += 1;
             self.slot_lease[slot] = Some((id, indices.clone()));
             self.config.telemetry.incr("orchestrator.leases");
-            let Some(rt) = campaign.rt.clone() else {
-                continue;
-            };
-            let cmd = match campaign.spec.clone() {
-                Some(spec) => SlotCmd::ProcessLease {
-                    rt,
-                    indices,
-                    spec,
-                    slot_cfg: campaign.slot_cfg,
-                },
-                None => SlotCmd::ThreadLease { rt, indices },
-            };
-            let _ = self.slot_tx[slot].send(cmd);
+            let _ = self.slot_tx[slot].send(SlotCmd::Lease { rt, indices });
         }
     }
 
+    /// The fleet heartbeat; each campaign's ledger beats on its own
+    /// merges.
     fn heartbeats(&mut self) {
         let now = Instant::now();
-        for campaign in self.campaigns.values_mut() {
-            if campaign.phase == CampaignPhase::Running
-                && campaign.telemetry.is_enabled()
-                && now.duration_since(campaign.last_beat) >= HEARTBEAT_INTERVAL
-            {
-                campaign.last_beat = now;
-                campaign_heartbeat(&campaign.telemetry, &campaign.slots, &campaign.done_by_slot);
-            }
-        }
         if self.config.telemetry.is_enabled()
             && now.duration_since(self.last_fleet_beat) >= HEARTBEAT_INTERVAL
         {

@@ -1,56 +1,55 @@
-//! Process-isolated mutant shards: the supervisor and the worker halves
-//! of [`IsolationMode::Process`].
+//! Process-isolated mutant leases: the frame protocol, the worker half
+//! and the supervising half of [`IsolationMode::Process`].
 //!
-//! Thread shards contain everything that *unwinds*; they cannot contain a
-//! mutant that calls `std::process::abort()`, overflows the stack, or
-//! spins in a loop with no cooperative checkpoint. Process shards put a
-//! kernel-enforced boundary around each slice of the mutant queue:
+//! Thread executors contain everything that *unwinds*; they cannot
+//! contain a mutant that calls `std::process::abort()`, overflows the
+//! stack, or spins in a loop with no cooperative checkpoint. A process
+//! lease puts a kernel-enforced boundary around a slice of the queue:
 //!
-//! * The **supervisor** ([`run_process_shards`]) self-execs the current
-//!   binary once per shard ([`ProcessIsolation::worker_args`] names the
-//!   hidden entry point), hands each child a slice of the queue via
-//!   `CONCAT_SHARD_*` environment variables, and reads verdicts off the
-//!   child's stdout through the runtime's checksummed frame codec —
-//!   a SIGKILL mid-frame tears at a frame boundary, detected and dropped
-//!   exactly like a torn journal tail.
+//! * The **supervising half** ([`process_lease`]) self-execs the current
+//!   binary ([`ProcessIsolation::worker_args`] names the hidden entry
+//!   point), hands the child its leased indices via `CONCAT_SHARD_*`
+//!   environment variables, and reads verdicts off the child's stdout
+//!   through the runtime's checksummed frame codec — a SIGKILL mid-frame
+//!   tears at a frame boundary, detected and dropped exactly like a torn
+//!   journal tail. Both schedulers use it: the solo engine's process
+//!   workers and the Orchestrator's process leases.
 //! * The **worker** ([`run_shard_worker`]) rebuilds the identical
 //!   campaign (the fingerprint is verified before any mutant runs),
-//!   computes its own golden baseline, and classifies its assigned
-//!   mutants with the same [`Engine`] the thread pool uses, framing each
-//!   verdict with [`encode_verdict`].
+//!   computes its own golden baseline, and classifies its leased mutants
+//!   with the same in-process lease loop as a thread executor, framing
+//!   each verdict with [`encode_verdict`].
 //!
 //! Liveness is heartbeat-based: every frame is proof of life, and a
 //! `shard-begin` frame additionally names the in-flight mutant, so when a
 //! shard dies — abort, signal, or a missed heartbeat deadline answered
-//! with the SIGTERM→SIGKILL ladder — the supervisor knows exactly which
-//! mutant to blame. Blame is charged on the *second* death (the mutant is
-//! retried once first), so an innocent mutant whose shard was killed from
-//! outside re-executes and the campaign stays byte-identical to an
-//! uninterrupted one; a mutant that reproducibly kills its host is
-//! quarantined with a process-level [`QuarantineReason`] and the campaign
-//! completes without it.
+//! with the SIGTERM→SIGKILL ladder — the lease knows exactly which mutant
+//! to blame. The campaign ledger charges the blame on the *second* death
+//! (the mutant is retried once first), so an innocent mutant whose shard
+//! was killed from outside re-executes and the campaign stays
+//! byte-identical to an uninterrupted one; a mutant that reproducibly
+//! kills its host is quarantined with a process-level
+//! [`QuarantineReason`] and the campaign completes without it.
 
 use crate::analysis::{
-    build_runner, campaign_heartbeat, collect_slots, finish_run, flag_restart_exhaustion,
-    persist_coverage, record_status, replay_slots, DrainEnd, Engine, JournalState, MutantResult,
-    MutantStatus, MutationConfig, MutationRun, PanicSilencer, ProcessIsolation, QuarantineReason,
-    HEARTBEAT_INTERVAL, SUPERVISOR_POLL,
+    build_runner, run_golden, Engine, Harness, MutantStatus, MutationConfig, PanicSilencer,
+    ProcessIsolation, QuarantineReason,
 };
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
 use crate::journal::{campaign_fingerprint, decode_verdict, encode_verdict};
+use crate::ledger::LeaseOutcome;
 use concat_driver::TestSuite;
 use concat_obs::Telemetry;
 use concat_runtime::{
-    classify_exit, encode_frame, terminate_child, wait_with_deadline, ExitClass, FrameDecoder,
-    Liveness, Rng,
+    classify_exit, encode_frame, terminate_child, wait_with_deadline, CancelToken, ExitClass,
+    FrameDecoder, Liveness,
 };
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::io::{Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::mpsc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Environment variable carrying a shard's assigned mutant indices
 /// (comma-separated enumeration indices).
@@ -67,6 +66,10 @@ const EXIT_OK: i32 = 0;
 const EXIT_BAD_ENV: i32 = 2;
 const EXIT_FINGERPRINT_MISMATCH: i32 = 3;
 const EXIT_PIPE_CLOSED: i32 = 4;
+
+/// How long the supervising half blocks on the frame channel before
+/// checking cancellation and the heartbeat deadline.
+const PIPE_POLL: Duration = Duration::from_millis(50);
 
 /// True when the current process was launched as a shard worker (the
 /// protocol environment variables are present). Entry points call this
@@ -110,28 +113,59 @@ pub(crate) fn parse_frame(payload: &str) -> ShardFrame {
     ShardFrame::Foreign
 }
 
+/// The lease's acceptance rule: a `Begin` or `Verdict` frame is accepted
+/// only for an `outstanding` index — one of this lease's, still without
+/// a verdict. Anything else would let a confused worker blame or merge a
+/// mutant another lease owns.
+pub(crate) fn accepts(frame: &ShardFrame, outstanding: &[usize]) -> bool {
+    match frame {
+        ShardFrame::Begin(index) | ShardFrame::Verdict(index, _) => outstanding.contains(index),
+        ShardFrame::Hello(_) | ShardFrame::Done | ShardFrame::Foreign => true,
+    }
+}
+
+/// Parses [`SHARD_INDICES_ENV`] totally: comma-separated decimal indices,
+/// each below `mutant_count` and named once. An empty list is valid;
+/// any malformed, out-of-range or duplicate entry rejects the whole list.
+pub(crate) fn parse_shard_indices(text: &str, mutant_count: usize) -> Option<Vec<usize>> {
+    if text.is_empty() {
+        return Some(Vec::new());
+    }
+    let mut seen = vec![false; mutant_count];
+    text.split(',')
+        .map(|entry| {
+            if !entry.bytes().all(|b| b.is_ascii_digit()) {
+                return None;
+            }
+            let index: usize = entry.parse().ok()?;
+            let first = !std::mem::replace(seen.get_mut(index)?, true);
+            first.then_some(index)
+        })
+        .collect()
+}
+
 /// Writes protocol frames straight to the process's stdout (bypassing
 /// any capture the host harness installed) and flushes per frame, so a
-/// kill between frames never tears one.
+/// kill between frames never tears one. Once a write fails the pipe is
+/// gone (the supervisor died) and every later frame is refused.
 struct FrameWriter {
     out: std::io::Stdout,
+    closed: Cell<bool>,
 }
 
 impl FrameWriter {
-    fn new() -> Self {
-        FrameWriter {
-            out: std::io::stdout(),
-        }
-    }
-
-    /// Emits one frame; `false` when the pipe is gone (supervisor died —
-    /// the worker should exit, there is nobody left to report to).
-    fn emit(&mut self, payload: &str) -> bool {
-        let Ok(frame) = encode_frame(payload) else {
+    /// Emits one frame; `false` when the pipe is gone — the worker should
+    /// exit, there is nobody left to report to.
+    fn emit(&self, payload: &str) -> bool {
+        if self.closed.get() {
             return false;
-        };
-        let mut lock = self.out.lock();
-        lock.write_all(frame.as_bytes()).is_ok() && lock.flush().is_ok()
+        }
+        let written = encode_frame(payload).is_ok_and(|frame| {
+            let mut lock = self.out.lock();
+            lock.write_all(frame.as_bytes()).is_ok() && lock.flush().is_ok()
+        });
+        self.closed.set(!written);
+        written
     }
 }
 
@@ -152,22 +186,23 @@ pub fn run_shard_worker(
     config: &MutationConfig,
 ) -> i32 {
     let _hook_guard = config.silence_panics.then(PanicSilencer::install);
-    let Ok(indices_var) = std::env::var(SHARD_INDICES_ENV) else {
-        return EXIT_BAD_ENV;
-    };
-    let Ok(expected_var) = std::env::var(SHARD_FINGERPRINT_ENV) else {
+    let (Ok(indices_var), Ok(expected_var)) = (
+        std::env::var(SHARD_INDICES_ENV),
+        std::env::var(SHARD_FINGERPRINT_ENV),
+    ) else {
         return EXIT_BAD_ENV;
     };
     let Ok(expected) = u32::from_str_radix(&expected_var, 16) else {
         return EXIT_BAD_ENV;
     };
-    let indices: Vec<usize> = indices_var
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| s.parse().ok())
-        .collect();
+    let Some(indices) = parse_shard_indices(&indices_var, mutants.len()) else {
+        return EXIT_BAD_ENV;
+    };
 
-    let mut out = FrameWriter::new();
+    let out = FrameWriter {
+        out: std::io::stdout(),
+        closed: Cell::new(false),
+    };
     let fingerprint = campaign_fingerprint(shards.class_name(), suite, mutants, config);
     if !out.emit(&format!("shard-hello {fingerprint:08x}")) {
         return EXIT_PIPE_CLOSED;
@@ -181,7 +216,7 @@ pub fn run_shard_worker(
     let factory = shards.build_factory(&switch);
     let runner = build_runner(config, &telemetry, &switch);
     switch.disarm();
-    let baseline = crate::analysis::run_golden(
+    let baseline = run_golden(
         &runner,
         factory.as_ref(),
         suite,
@@ -189,72 +224,34 @@ pub fn run_shard_worker(
         config,
         &telemetry,
     );
-    let engine = Engine::new(
-        suite,
-        mutants,
-        config,
-        &baseline,
-        vec![false; mutants.len()],
-    );
-
-    for index in indices {
-        let Some(mutant) = mutants.get(index) else {
-            continue;
-        };
-        if !out.emit(&format!("shard-begin {index}")) {
-            return EXIT_PIPE_CLOSED;
-        }
-        // The same two containment layers as a thread worker: the runner
-        // catches case panics, and this catch contains engine-adjacent
-        // ones. What neither can catch — abort, stack overflow, a loop
-        // with no checkpoint — is exactly what the process boundary and
-        // the supervisor's heartbeat deadline exist for.
-        let status = match catch_unwind(AssertUnwindSafe(|| {
-            engine.classify(factory.as_ref(), &switch, &runner, &telemetry, mutant)
-        })) {
-            Ok(status) => status,
-            Err(_panic) => MutantStatus::Quarantined {
-                reason: QuarantineReason::WorkerCrash,
-            },
-        };
-        if !out.emit(&encode_verdict(index, &status)) {
-            return EXIT_PIPE_CLOSED;
-        }
+    let engine = Engine::new(suite, mutants, config, &baseline);
+    let harness = Harness {
+        factory: factory.as_ref(),
+        switch: &switch,
+        runner: &runner,
+        telemetry: &telemetry,
+    };
+    // What the lease loop's containment cannot catch — abort, stack
+    // overflow, a loop with no checkpoint — is exactly what the process
+    // boundary and the supervisor's heartbeat deadline exist for. A
+    // contained crash costs its mutant; the slice continues after it.
+    let cancel = CancelToken::new();
+    let mut rest = indices.as_slice();
+    while let LeaseOutcome::Crashed { emitted, .. } = engine.run_lease(
+        &harness,
+        rest,
+        &cancel,
+        Some(&mut |index| out.emit(&format!("shard-begin {index}"))),
+        &mut |index, status| {
+            out.emit(&encode_verdict(index, &status));
+        },
+    ) {
+        rest = rest.get(emitted as usize..).unwrap_or_default();
     }
-    switch.disarm();
     if !out.emit("shard-done") {
         return EXIT_PIPE_CLOSED;
     }
     EXIT_OK
-}
-
-/// What a reader thread reports about its shard's stdout.
-enum ShardEvent {
-    /// One verified frame payload.
-    Frame(String),
-    /// The pipe closed: complete-but-invalid lines dropped by the
-    /// decoder, plus whether a torn (unterminated) tail was left behind.
-    Eof { dropped: u64, torn: bool },
-}
-
-/// One live shard from the supervisor's side.
-struct LiveShard {
-    /// Respawn generation; events tagged with an older generation belong
-    /// to a corpse that has already been fully handled.
-    generation: u64,
-    child: Child,
-    reader: Option<std::thread::JoinHandle<()>>,
-    liveness: Liveness,
-    /// The mutant named by the last `shard-begin` without a matching
-    /// verdict — the one a death gets blamed on.
-    in_flight: Option<usize>,
-    /// Set when the supervisor killed this shard for a missed heartbeat;
-    /// overrides exit classification (the corpse shows our SIGKILL, but
-    /// the story is the unresponsive mutant).
-    killed_unresponsive: bool,
-    /// True once the hello fingerprint failed: the worker rebuilt a
-    /// different campaign, so respawning it would fail forever.
-    poisoned: bool,
 }
 
 /// Maps how a shard died to the quarantine reason its in-flight mutant
@@ -269,361 +266,129 @@ pub(crate) fn death_reason(class: ExitClass, killed_unresponsive: bool) -> Quara
     }
 }
 
-/// The supervisor half of [`IsolationMode::Process`]; reached through
-/// [`crate::run_mutation_analysis_parallel`] when the config carries a
-/// process isolation spec.
-///
-/// The golden baseline, journal, coverage artefact and all telemetry stay
-/// in this process; shards compute their own baseline (they share nothing
-/// but the deterministic campaign inputs) and stream verdicts back. The
-/// merge is by enumeration index into the same slot vector the thread
-/// pool uses, so verdicts, score and tables are byte-identical across
-/// isolation modes and shard counts.
-pub(crate) fn run_process_shards(
-    shards: &dyn ClonableFactory,
-    suite: &TestSuite,
-    mutants: &[Mutant],
-    config: &MutationConfig,
+/// One process-isolated lease: spawns a shard worker (a self-exec of the
+/// current binary reaching [`run_shard_worker`]), hands it `lease`, and
+/// reports each accepted verdict through `on_verdict`. Liveness runs
+/// under `spec`'s deadlines: a shard silent past them gets the
+/// SIGTERM→SIGKILL ladder and its death is blamed on the in-flight
+/// mutant. Once `cancel` trips the shard is terminated and later
+/// verdicts are discarded. Frames the acceptance rule ([`accepts`])
+/// refuses are counted in `mutation.frames_dropped`, like torn ones.
+pub(crate) fn process_lease(
     spec: &ProcessIsolation,
-) -> MutationRun {
-    let _hook_guard = config.silence_panics.then(PanicSilencer::install);
-    let run_span = config.telemetry.span("mutation", shards.class_name());
-    let scoped = config.telemetry.at(run_span.id());
-    let telemetry = &scoped;
-    let (mut journal, replayed) =
-        JournalState::open(shards.class_name(), suite, mutants, config, telemetry);
-
-    // The supervisor runs its own golden baseline: the final
-    // `MutationRun` carries it, degraded inline completion executes
-    // against it, and it costs one suite pass — the price of sharing
-    // nothing mutable with the children.
-    let golden_switch = MutationSwitch::new();
-    let golden_factory = shards.build_factory(&golden_switch);
-    let runner = build_runner(config, telemetry, &golden_switch);
-    let baseline = crate::analysis::run_golden(
-        &runner,
-        golden_factory.as_ref(),
-        suite,
-        mutants,
-        config,
-        telemetry,
-    );
-    persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
-
-    let (mut slots, _) = replay_slots(mutants, replayed, telemetry);
-    let unfinished: Vec<usize> = slots
+    fingerprint: u32,
+    lease: &[usize],
+    cancel: &CancelToken,
+    telemetry: &Telemetry,
+    on_verdict: &mut dyn FnMut(usize, MutantStatus),
+) -> LeaseOutcome {
+    let csv = lease
         .iter()
-        .enumerate()
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(index, _)| index)
-        .collect();
-    let shard_count = config.workers.clamp(1, unfinished.len().max(1));
-    telemetry.gauge("mutation.workers", shard_count as i64);
-    let fingerprint = campaign_fingerprint(shards.class_name(), suite, mutants, config);
-
-    // Static round-robin assignment: shard k owns every k-th unfinished
-    // index. Respawns re-receive their slot's remainder, so ownership
-    // never migrates and blame stays unambiguous.
-    let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-    for (position, index) in unfinished.iter().enumerate() {
-        assigned[position % shard_count].push(*index);
-    }
-
-    let mut live: Vec<Option<LiveShard>> = Vec::with_capacity(shard_count);
-    let mut done_by_shard: Vec<u64> = vec![0; shard_count];
-    // Deaths per mutant index, and the reason recorded at blame time —
-    // a once-blamed mutant is never run in the supervisor process.
-    let mut death_count: HashMap<usize, u32> = HashMap::new();
-    let mut blamed_reason: HashMap<usize, QuarantineReason> = HashMap::new();
-    let mut restarts_left = config.worker_restarts;
-    let mut exhaustion_flagged = false;
-    let mut respawns = 0u32;
-    let mut backoff_rng = Rng::seed_from_u64(spec.backoff_seed);
-    let (tx, rx) = mpsc::channel::<(usize, u64, ShardEvent)>();
-
-    let remaining_of = |assigned: &[Vec<usize>], slots: &[Option<MutantResult>], slot: usize| {
-        assigned[slot]
-            .iter()
-            .filter(|index| slots[**index].is_none())
-            .copied()
-            .collect::<Vec<usize>>()
-    };
-
-    let spawn_shard = |slot: usize,
-                       generation: u64,
-                       indices: &[usize],
-                       tx: &mpsc::Sender<(usize, u64, ShardEvent)>|
-     -> Option<LiveShard> {
-        let exe = std::env::current_exe().ok()?;
-        let csv = indices
-            .iter()
-            .map(|i| i.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut command = Command::new(exe);
-        command
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    let spawned = std::env::current_exe().and_then(|exe| {
+        Command::new(exe)
             .args(&spec.worker_args)
             .env(SHARD_INDICES_ENV, csv)
             .env(SHARD_FINGERPRINT_ENV, format!("{fingerprint:08x}"))
+            .envs(spec.worker_env.iter().map(|(key, value)| (key, value)))
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        for (key, value) in &spec.worker_env {
-            command.env(key, value);
-        }
-        let mut child = command.spawn().ok()?;
-        let stdout = child.stdout.take()?;
-        let tx = tx.clone();
-        let reader = std::thread::spawn(move || {
-            let mut stdout = stdout;
-            let mut decoder = FrameDecoder::new();
-            let mut chunk = [0u8; 4096];
-            loop {
-                match stdout.read(&mut chunk) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => {
-                        for payload in decoder.push(&chunk[..n]) {
-                            if tx
-                                .send((slot, generation, ShardEvent::Frame(payload)))
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-            let _ = tx.send((
-                slot,
-                generation,
-                ShardEvent::Eof {
-                    dropped: decoder.dropped(),
-                    torn: decoder.pending_bytes() > 0,
-                },
-            ));
-        });
-        Some(LiveShard {
-            generation,
-            child,
-            reader: Some(reader),
-            liveness: Liveness::new(spec.startup_grace, spec.heartbeat_timeout),
-            in_flight: None,
-            killed_unresponsive: false,
-            poisoned: false,
-        })
+            .stderr(Stdio::inherit())
+            .spawn()
+    });
+    let Ok(mut child) = spawned else {
+        telemetry.incr("harden.degraded");
+        return LeaseOutcome::SETUP_FAILED;
     };
-
-    let mut active = 0usize;
-    for (slot, indices) in assigned.iter().enumerate() {
-        if indices.is_empty() {
-            live.push(None);
-            continue;
-        }
-        match spawn_shard(slot, 0, indices, &tx) {
-            Some(shard) => {
-                live.push(Some(shard));
-                active += 1;
-            }
-            None => {
-                // Spawn failed outright (exe unavailable?): the slot's
-                // work falls through to inline completion.
-                telemetry.incr("harden.degraded");
-                live.push(None);
-            }
-        }
-    }
-
-    let mut last_beat = Instant::now();
-    while active > 0 {
-        match rx.recv_timeout(SUPERVISOR_POLL) {
-            Ok((slot, generation, event)) => {
-                let stale = live[slot]
-                    .as_ref()
-                    .is_none_or(|shard| shard.generation != generation);
-                if stale {
-                    // A corpse's queued frames: its death was already
-                    // handled (verdicts merged before the respawn), so
-                    // anything left is noise.
-                    continue;
+    let Some(mut stdout) = child.stdout.take() else {
+        let _ = terminate_child(&mut child, spec.term_grace);
+        telemetry.incr("harden.degraded");
+        return LeaseOutcome::SETUP_FAILED;
+    };
+    // The reader thread forwards verified frames and, at EOF, returns how
+    // many lines the decoder dropped (plus one for a torn tail).
+    let (tx, rx) = mpsc::channel::<String>();
+    let reader = std::thread::spawn(move || {
+        let mut decoder = FrameDecoder::new();
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = stdout.read(&mut chunk) {
+            for payload in decoder.push(&chunk[..n]) {
+                if tx.send(payload).is_err() {
+                    return 0;
                 }
-                match event {
-                    ShardEvent::Frame(payload) => {
-                        let Some(shard) = live[slot].as_mut() else {
-                            continue;
-                        };
-                        shard.liveness.beat();
-                        match parse_frame(&payload) {
-                            ShardFrame::Hello(fp) if fp == fingerprint => {}
-                            ShardFrame::Hello(_) => {
-                                // The worker rebuilt a different campaign:
-                                // a config bug, deterministic on respawn.
-                                // Kill the shard and leave its slice to
-                                // inline completion.
-                                shard.poisoned = true;
-                                telemetry.incr("harden.degraded");
-                                let _ = terminate_child(&mut shard.child, spec.term_grace);
-                            }
-                            ShardFrame::Begin(index) => {
-                                shard.in_flight = Some(index);
-                            }
-                            ShardFrame::Verdict(index, status) => {
-                                if index < slots.len() && slots[index].is_none() {
-                                    journal.record(index, &status);
-                                    record_status(telemetry, &status);
-                                    slots[index] = Some(MutantResult {
-                                        mutant: mutants[index].clone(),
-                                        status,
-                                    });
-                                    done_by_shard[slot] += 1;
-                                }
-                                if shard.in_flight == Some(index) {
-                                    shard.in_flight = None;
-                                }
-                            }
-                            ShardFrame::Done | ShardFrame::Foreign => {}
+            }
+        }
+        decoder.dropped() + u64::from(decoder.pending_bytes() > 0)
+    });
+
+    let mut liveness = Liveness::new(spec.startup_grace, spec.heartbeat_timeout);
+    let mut outstanding = lease.to_vec();
+    let mut in_flight: Option<usize> = None;
+    let (mut unresponsive, mut poisoned, mut aborted) = (false, false, false);
+    let (mut emitted, mut refused) = (0u64, 0u64);
+    loop {
+        match rx.recv_timeout(PIPE_POLL) {
+            Ok(payload) => {
+                liveness.beat();
+                match parse_frame(&payload) {
+                    frame if !accepts(&frame, &outstanding) => refused += 1,
+                    ShardFrame::Hello(fp) if fp == fingerprint => {}
+                    ShardFrame::Hello(_) => {
+                        // The worker rebuilt a different campaign — a
+                        // config bug, deterministic on retry.
+                        poisoned = true;
+                        telemetry.incr("harden.degraded");
+                        let _ = terminate_child(&mut child, spec.term_grace);
+                    }
+                    ShardFrame::Begin(index) => in_flight = Some(index),
+                    ShardFrame::Verdict(index, status) => {
+                        outstanding.retain(|&o| o != index);
+                        if in_flight == Some(index) {
+                            in_flight = None;
+                        }
+                        if !cancel.is_cancelled() {
+                            on_verdict(index, status);
+                            emitted += 1;
                         }
                     }
-                    ShardEvent::Eof { dropped, torn } => {
-                        let Some(mut shard) = live[slot].take() else {
-                            continue;
-                        };
-                        active -= 1;
-                        let torn_frames = dropped + u64::from(torn);
-                        if torn_frames > 0 {
-                            telemetry.incr_by("mutation.frames_dropped", torn_frames);
-                        }
-                        if let Some(reader) = shard.reader.take() {
-                            let _ = reader.join();
-                        }
-                        let class = match wait_with_deadline(&mut shard.child, spec.term_grace) {
-                            Ok(status) => classify_exit(status),
-                            Err(_) => ExitClass::Signal(-1),
-                        };
-                        let remaining = remaining_of(&assigned, &slots, slot);
-                        if remaining.is_empty() || shard.poisoned {
-                            // Retired: slice complete (or unfixable).
-                            continue;
-                        }
-                        // Death with work left. Blame the in-flight
-                        // mutant: first death returns it to the slice
-                        // (an innocent mutant killed from outside must
-                        // re-execute for byte-identical reports); the
-                        // second death quarantines it with the reason
-                        // derived from how the shard died.
-                        if let Some(index) = shard.in_flight {
-                            let deaths = death_count.entry(index).or_insert(0);
-                            *deaths += 1;
-                            let reason = death_reason(class, shard.killed_unresponsive);
-                            blamed_reason.insert(index, reason);
-                            if *deaths >= 2 && slots[index].is_none() {
-                                let status = MutantStatus::Quarantined { reason };
-                                journal.record(index, &status);
-                                record_status(telemetry, &status);
-                                slots[index] = Some(MutantResult {
-                                    mutant: mutants[index].clone(),
-                                    status,
-                                });
-                                done_by_shard[slot] += 1;
-                            }
-                        }
-                        let remaining = remaining_of(&assigned, &slots, slot);
-                        if remaining.is_empty() {
-                            continue;
-                        }
-                        if restarts_left == 0 {
-                            if !exhaustion_flagged {
-                                exhaustion_flagged = true;
-                                flag_restart_exhaustion(
-                                    telemetry,
-                                    config.worker_restarts,
-                                    slots.iter().filter(|s| s.is_none()).count(),
-                                );
-                            }
-                            continue;
-                        }
-                        restarts_left -= 1;
-                        respawns += 1;
-                        telemetry.incr("mutation.shard_respawn");
-                        std::thread::sleep(
-                            spec.respawn_backoff
-                                .jittered_delay(respawns, &mut backoff_rng),
-                        );
-                        let generation = shard.generation + 1;
-                        if let Some(replacement) = spawn_shard(slot, generation, &remaining, &tx) {
-                            live[slot] = Some(replacement);
-                            active += 1;
-                        } else {
-                            telemetry.incr("harden.degraded");
-                        }
-                    }
+                    ShardFrame::Done | ShardFrame::Foreign => {}
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
-        // Heartbeat sweep: any live shard past its deadline gets the
-        // escalation ladder. Death bookkeeping then arrives through the
-        // shard's Eof event (its pipe closes when it dies), keeping one
-        // death path for kills and crashes alike.
-        for shard in live.iter_mut().flatten() {
-            if !shard.killed_unresponsive && shard.liveness.expired() {
-                shard.killed_unresponsive = true;
-                telemetry.incr("mutation.shard_kill");
-                let _ = terminate_child(&mut shard.child, spec.term_grace);
-            }
+        if cancel.is_cancelled() && !aborted {
+            aborted = true;
+            let _ = terminate_child(&mut child, spec.term_grace);
         }
-        if telemetry.is_enabled() && last_beat.elapsed() >= HEARTBEAT_INTERVAL {
-            last_beat = Instant::now();
-            campaign_heartbeat(telemetry, &slots, &done_by_shard);
+        if !unresponsive && !aborted && liveness.expired() {
+            unresponsive = true;
+            telemetry.incr("mutation.shard_kill");
+            let _ = terminate_child(&mut child, spec.term_grace);
         }
     }
-
-    // Leftovers (spawn failures, fingerprint poisoning, restart
-    // exhaustion). A mutant ever blamed for a shard death is quarantined
-    // with its recorded reason — known process-killers must never run in
-    // the supervisor. The rest complete inline, exactly like the thread
-    // pool's degraded path.
-    for index in 0..slots.len() {
-        if slots[index].is_some() {
-            continue;
-        }
-        if let Some(reason) = blamed_reason.get(&index).copied() {
-            let status = MutantStatus::Quarantined { reason };
-            journal.record(index, &status);
-            record_status(telemetry, &status);
-            slots[index] = Some(MutantResult {
-                mutant: mutants[index].clone(),
-                status,
-            });
-        }
+    let dropped = reader.join().unwrap_or(0) + refused;
+    if dropped > 0 {
+        telemetry.incr_by("mutation.frames_dropped", dropped);
     }
-    if slots.iter().any(|slot| slot.is_none()) {
-        let done: Vec<bool> = slots.iter().map(|slot| slot.is_some()).collect();
-        let engine = Engine::new(suite, mutants, config, &baseline, done);
-        while engine.has_unclaimed_work() {
-            let switch = MutationSwitch::new();
-            let factory = shards.build_factory(&switch);
-            let inline_runner = build_runner(config, telemetry, &switch);
-            let mut emit = |index: usize, result: MutantResult| {
-                journal.record(index, &result.status);
-                slots[index] = Some(result);
-            };
-            let end = engine.drain(
-                factory.as_ref(),
-                &switch,
-                &inline_runner,
-                telemetry,
-                &mut emit,
-            );
-            switch.disarm();
-            if let DrainEnd::Drained = end {
-                break;
-            }
-        }
+    let class = match wait_with_deadline(&mut child, spec.term_grace) {
+        Ok(status) => classify_exit(status),
+        Err(_) => ExitClass::Signal(-1),
+    };
+    if aborted || cancel.is_cancelled() {
+        return LeaseOutcome::Aborted;
     }
-    campaign_heartbeat(telemetry, &slots, &done_by_shard);
-    let results = collect_slots(mutants, slots);
-    finish_run(telemetry, results, baseline.golden)
+    if outstanding.is_empty() && !poisoned {
+        return LeaseOutcome::Drained;
+    }
+    LeaseOutcome::Crashed {
+        in_flight,
+        reason: death_reason(class, unresponsive),
+        poisoned,
+        emitted,
+    }
 }
 
 #[cfg(test)]
@@ -663,6 +428,53 @@ mod tests {
                 "{foreign:?}"
             );
         }
+    }
+
+    #[test]
+    fn leases_accept_only_their_outstanding_indices() {
+        let outstanding = [3, 5];
+        assert!(accepts(&ShardFrame::Begin(3), &outstanding));
+        assert!(accepts(
+            &ShardFrame::Verdict(5, MutantStatus::Survived),
+            &outstanding
+        ));
+        // Another lease's index, one past the campaign, one already done.
+        for index in [4, usize::MAX, 7] {
+            assert!(!accepts(&ShardFrame::Begin(index), &outstanding));
+            assert!(!accepts(
+                &ShardFrame::Verdict(index, MutantStatus::Survived),
+                &outstanding
+            ));
+        }
+        assert!(
+            !accepts(&ShardFrame::Begin(3), &[5]),
+            "3 already has a verdict"
+        );
+        for frame in [ShardFrame::Hello(1), ShardFrame::Done, ShardFrame::Foreign] {
+            assert!(accepts(&frame, &[]));
+        }
+    }
+
+    #[test]
+    fn shard_indices_parse_totally() {
+        assert_eq!(parse_shard_indices("", 4), Some(vec![]));
+        assert_eq!(parse_shard_indices("0", 4), Some(vec![0]));
+        assert_eq!(parse_shard_indices("3,0,2", 4), Some(vec![3, 0, 2]));
+        for (malformed, why) in [
+            ("x", "non-numeric"),
+            ("1,x", "non-numeric entry"),
+            ("1,,2", "empty entry"),
+            ("1,", "trailing comma"),
+            ("+1", "sign"),
+            ("-1", "negative"),
+            (" 1", "whitespace"),
+            ("99999999999999999999999", "overflow"),
+        ] {
+            assert_eq!(parse_shard_indices(malformed, 4), None, "{why}");
+        }
+        assert_eq!(parse_shard_indices("4", 4), None, "out of range");
+        assert_eq!(parse_shard_indices("0", 0), None, "no mutants at all");
+        assert_eq!(parse_shard_indices("1,2,1", 4), None, "duplicate");
     }
 
     #[test]

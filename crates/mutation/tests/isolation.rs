@@ -1,7 +1,8 @@
 //! Process-isolation integration tests: verdict parity with thread
 //! shards, containment of mutants no thread can contain (abort,
-//! spin-without-checkpoints), survival of external shard kills, and
-//! journaled resume under [`IsolationMode::Process`].
+//! spin-without-checkpoints) by solo runs and by the [`Orchestrator`]'s
+//! process leases, survival of external shard kills, and journaled resume
+//! under [`IsolationMode::Process`].
 //!
 //! The shard workers are *this test binary*, re-executed with a libtest
 //! filter that lands in [`shard_worker_entry`]; the
@@ -12,9 +13,9 @@ use concat_bit::{BitControl, BuiltInTest, ComponentFactory, StateReport, Testabl
 use concat_driver::{MethodCall, SuiteStats, TestCase, TestSuite};
 use concat_mutation::{
     decode_verdict, encode_verdict, enumerate_mutants, run_mutation_analysis_parallel,
-    run_shard_worker, ClassInventory, ClonableFactory, IsolationMode, KillReason, MethodInventory,
-    Mutant, MutantStatus, MutationConfig, MutationRun, MutationSwitch, ProcessIsolation,
-    QuarantineReason, VarEnv,
+    run_shard_worker, CampaignEnd, CampaignRequest, ClassInventory, ClonableFactory, IsolationMode,
+    KillReason, MethodInventory, Mutant, MutantStatus, MutationConfig, MutationRun, MutationSwitch,
+    Orchestrator, OrchestratorConfig, ProcessIsolation, QuarantineReason, VarEnv,
 };
 use concat_obs::{MemorySink, Summary, Telemetry};
 use concat_runtime::{
@@ -490,6 +491,95 @@ fn process_shards_contain_abort_and_unresponsive_mutants() {
                 "shards = {shards}: containment verdicts are shard-count-invariant"
             ),
         }
+    }
+}
+
+/// The verdict of the volatile mutant whose rendering contains `needle`.
+fn volatile_status(run: &MutationRun, needle: &str) -> MutantStatus {
+    run.results
+        .iter()
+        .find(|r| r.mutant.to_string().contains(needle))
+        .map(|r| r.status.clone())
+        .unwrap_or_else(|| panic!("no {needle} mutant enumerated"))
+}
+
+#[test]
+fn fleet_process_leases_contain_abort_and_unresponsive_mutants() {
+    let _guard = process_lock();
+    let config = || MutationConfig {
+        worker_restarts: 16,
+        isolation: IsolationMode::Process(volatile_isolation()),
+        ..volatile_config()
+    };
+    let solo = run_mutation_analysis_parallel(
+        &VolatileShards,
+        &volatile_suite(),
+        &volatile_mutants(),
+        &MutationConfig {
+            workers: 2,
+            ..config()
+        },
+    );
+    for slots in [1usize, 2] {
+        let service = Orchestrator::start(OrchestratorConfig {
+            slots,
+            ..OrchestratorConfig::default()
+        });
+        let id = service
+            .submit(CampaignRequest {
+                name: format!("volatile-{slots}"),
+                shards: Arc::new(VolatileShards),
+                suite: volatile_suite(),
+                mutants: volatile_mutants(),
+                config: config(),
+                priority: 0,
+                mutant_budget: None,
+                slot: None,
+            })
+            .expect("admitted");
+        let outcome = service.wait(id).expect("campaign tracked");
+        // The service silences panics while it runs: assert after it
+        // stops, so a failure message is never swallowed.
+        service.shutdown();
+        let CampaignEnd::Completed(run) = outcome.end else {
+            panic!("slots = {slots}: the campaign did not complete: {outcome:?}");
+        };
+        assert_eq!(
+            volatile_status(&run, "MAXINT"),
+            MutantStatus::Quarantined {
+                reason: QuarantineReason::ShardAbort
+            },
+            "slots = {slots}: the aborting mutant is quarantined as a shard abort"
+        );
+        assert_eq!(
+            volatile_status(&run, "MININT"),
+            MutantStatus::Quarantined {
+                reason: QuarantineReason::ShardUnresponsive
+            },
+            "slots = {slots}: the spinning mutant is quarantined as unresponsive"
+        );
+        let shard_quarantines = run
+            .results
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.status,
+                    MutantStatus::Quarantined {
+                        reason: QuarantineReason::ShardAbort
+                            | QuarantineReason::ShardSignal
+                            | QuarantineReason::ShardUnresponsive
+                    }
+                )
+            })
+            .count();
+        assert_eq!(
+            shard_quarantines, 2,
+            "slots = {slots}: exactly the two killers are shard-quarantined"
+        );
+        assert_eq!(
+            run.results, solo.results,
+            "slots = {slots}: the fleet's ladder convicts exactly as a solo run does"
+        );
     }
 }
 
