@@ -62,7 +62,9 @@ pub struct CObList {
     head: i64,
     /// `m_pNodeTail` — arena index of the last node, or `-1`.
     tail: i64,
-    /// `m_nCount` — claimed element count.
+    /// `m_nCount` — claimed element count. A fault site can set it to
+    /// MAXINT/MININT, so it changes by `strict_*` ops: an overflow panics
+    /// the same way in debug and release builds.
     count: i64,
     /// `m_nBlockSize` — MFC's allocation granularity hint. Functionally
     /// inert here (the arena allocates node-by-node) but kept as a class
@@ -218,7 +220,7 @@ impl CObList {
         }
         // Site 3: the head update.
         self.head = self.switch.read_int(M, 3, "pNewNode", p_new_node, env);
-        self.count += 1;
+        self.count = self.count.strict_add(1);
         Ok(())
     }
 
@@ -235,7 +237,7 @@ impl CObList {
         concat_bit::pre_condition!(&self.ctl, Self::CLASS, M, self.count > 0);
         let p_old_head = self.head;
         let p_next = self.arena.next(p_old_head).map_err(|e| bad_link(M, e))?;
-        let n_new_count = self.count - 1;
+        let n_new_count = self.count.strict_sub(1);
         let globals = self.globals();
         let env = move || {
             globals
@@ -327,7 +329,7 @@ impl CObList {
         // Site 4: which node to free.
         let to_free = self.switch.read_int(M, 4, "pCur", p_cur, env);
         let value = self.arena.free(to_free).map_err(|e| bad_link(M, e))?;
-        self.count -= 1;
+        self.count = self.count.strict_sub(1);
         Ok(value)
     }
 
@@ -345,7 +347,7 @@ impl CObList {
             let _ = self.arena.set_prev(node, self.tail);
         }
         self.tail = node;
-        self.count += 1;
+        self.count = self.count.strict_add(1);
     }
 
     /// `RemoveTail()`.
@@ -366,7 +368,7 @@ impl CObList {
         } else {
             self.arena.set_next(prev, NIL).map_err(|e| bad_link(M, e))?;
         }
-        self.count -= 1;
+        self.count = self.count.strict_sub(1);
         Ok(value)
     }
 
@@ -450,7 +452,7 @@ impl CObList {
                 .set_prev(next, fresh)
                 .map_err(|e| bad_link(M, e))?;
         }
-        self.count += 1;
+        self.count = self.count.strict_add(1);
         Ok(())
     }
 

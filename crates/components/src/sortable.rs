@@ -211,6 +211,9 @@ impl CSortableObList {
         let mut i = 0i64;
         let mut fuel = WATCHDOG;
         // The sort works on `vals`; the attributes stay put until write-back.
+        // Arithmetic on switch-read values uses `strict_*` ops, so an
+        // injected MAXINT/MININT overflows into the same panic in debug and
+        // release builds.
         let globals = self.base.globals();
         loop {
             let env = move || globals.env().bind("n", n).bind("i", i);
@@ -222,19 +225,21 @@ impl CSortableObList {
             loop {
                 let env = move || globals.env().bind("n", n).bind("i", i).bind("j", j);
                 // Site 1: inner loop bound (n - i - 1) read through i.
-                let bound = n - self.switch.read_int(M, 1, "i", i, env) - 1;
+                let bound = n
+                    .strict_sub(self.switch.read_int(M, 1, "i", i, env))
+                    .strict_sub(1);
                 if j >= bound {
                     break;
                 }
                 // Site 2: the left index of the compared pair.
                 let left = self.switch.read_int(M, 2, "j", j, env);
                 let a = at(M, &vals, left)?.clone();
-                let b = at(M, &vals, left + 1)?.clone();
+                let b = at(M, &vals, left.strict_add(1))?.clone();
                 if a.total_cmp(&b) == std::cmp::Ordering::Greater {
                     // Site 3: the swap position.
                     let swap_at = self.switch.read_int(M, 3, "j", j, env);
                     *at_mut(M, &mut vals, swap_at)? = b;
-                    *at_mut(M, &mut vals, swap_at + 1)? = a;
+                    *at_mut(M, &mut vals, swap_at.strict_add(1))? = a;
                 }
                 j += 1;
                 fuel -= 1;
@@ -243,7 +248,7 @@ impl CSortableObList {
                 }
             }
             // Site 4: the outer increment source.
-            i = self.switch.read_int(M, 4, "i", i, env) + 1;
+            i = self.switch.read_int(M, 4, "i", i, env).strict_add(1);
             fuel -= 1;
             if fuel == 0 {
                 return Err(TestException::domain(M, "watchdog: loop budget exceeded"));
@@ -389,7 +394,7 @@ impl CSortableObList {
                         break;
                     }
                     // Site 4: the compared slot (j - gap).
-                    let back = self.switch.read_int(M, 4, "j", j, env) - gap;
+                    let back = self.switch.read_int(M, 4, "j", j, env).strict_sub(gap);
                     if at(M, &vals, back)?.total_cmp(&lifted) != std::cmp::Ordering::Greater {
                         break;
                     }

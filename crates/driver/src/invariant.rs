@@ -21,14 +21,14 @@
 
 use crate::inputs::InputGenerator;
 use crate::persist::PersistError;
+use crate::runner::{guarded, Guarded};
 use crate::testcase::{ArgOrigin, MethodCall, TestCase};
 use concat_bit::{BitControl, ComponentFactory};
-use concat_runtime::{crc32, parse_value_literal, CancelToken, Rng, Value, DEADLINE_PANIC_PAYLOAD};
+use concat_runtime::{crc32, parse_value_literal, CancelToken, Rng, Value};
 use concat_tfm::{NodeKind, WalkPolicy};
 use concat_tspec::{ClassSpec, MethodCategory, MethodSpec};
 use std::fmt;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Configuration of an invariant-fuzzing run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -401,72 +401,51 @@ pub fn execute_sequence(
             break;
         }
         let head = format!("s{i} o{} {}", step.object, step.call.render());
-        match step.kind {
-            StepKind::Construct => {
-                let built = catch_unwind(AssertUnwindSafe(|| {
-                    factory.construct(&step.call.method, &step.call.args, ctl.clone())
-                }));
-                match built {
-                    Ok(Ok(c)) => {
-                        slots[step.object] = Some(c);
-                        lines.push(format!("{head} -> ok"));
+        let (method, args) = (&step.call.method, &step.call.args);
+        let stepped = match (step.kind, &mut slots[step.object]) {
+            (StepKind::Construct, slot) => {
+                guarded(|| match factory.construct(method, args, ctl.clone()) {
+                    Ok(c) => {
+                        *slot = Some(c);
+                        "ok".to_owned()
                     }
-                    Ok(Err(exc)) => {
-                        slots[step.object] = None;
-                        lines.push(format!("{head} -> raised [{}] {exc}", exc.tag()));
+                    Err(exc) => {
+                        *slot = None;
+                        format!("raised [{}] {exc}", exc.tag())
                     }
-                    Err(panic) => {
-                        if is_deadline_payload(panic.as_ref()) {
-                            interrupted = true;
-                            break;
-                        }
-                        let message = panic_message(panic);
-                        lines.push(format!("{head} -> panicked: {message}"));
-                        failure = Some(WalkFailure {
-                            step: i,
-                            object: step.object,
-                            kind: FailureKind::Panic { message },
-                        });
-                        executed_steps = i + 1;
-                        break;
-                    }
-                }
+                })
             }
-            StepKind::Invoke => match slots[step.object].as_mut() {
-                None => lines.push(format!("{head} -> skipped")),
-                Some(component) => {
-                    let invoked = catch_unwind(AssertUnwindSafe(|| {
-                        component.invoke(&step.call.method, &step.call.args)
-                    }));
-                    match invoked {
-                        Ok(Ok(v)) => lines.push(format!("{head} -> {}", v.to_literal())),
-                        Ok(Err(exc)) => {
-                            lines.push(format!("{head} -> raised [{}] {exc}", exc.tag()))
-                        }
-                        Err(panic) => {
-                            if is_deadline_payload(panic.as_ref()) {
-                                interrupted = true;
-                                break 'steps;
-                            }
-                            let message = panic_message(panic);
-                            lines.push(format!("{head} -> panicked: {message}"));
-                            failure = Some(WalkFailure {
-                                step: i,
-                                object: step.object,
-                                kind: FailureKind::Panic { message },
-                            });
-                            executed_steps = i + 1;
-                            break 'steps;
-                        }
-                    }
-                    let is_dtor = spec
-                        .method(&step.call.method_id)
-                        .is_some_and(|m| m.category == MethodCategory::Destructor);
-                    if is_dtor {
-                        slots[step.object] = None;
-                    }
-                }
-            },
+            (StepKind::Invoke, Some(component)) => {
+                guarded(|| match component.invoke(method, args) {
+                    Ok(v) => v.to_literal(),
+                    Err(exc) => format!("raised [{}] {exc}", exc.tag()),
+                })
+            }
+            (StepKind::Invoke, None) => Guarded::Done("skipped".to_owned()),
+        };
+        match stepped {
+            Guarded::Done(text) => lines.push(format!("{head} -> {text}")),
+            Guarded::Deadline => {
+                interrupted = true;
+                break;
+            }
+            Guarded::Panicked(message) => {
+                lines.push(format!("{head} -> panicked: {message}"));
+                failure = Some(WalkFailure {
+                    step: i,
+                    object: step.object,
+                    kind: FailureKind::Panic { message },
+                });
+                executed_steps = i + 1;
+                break;
+            }
+        }
+        if step.kind == StepKind::Invoke
+            && spec
+                .method(&step.call.method_id)
+                .is_some_and(|m| m.category == MethodCategory::Destructor)
+        {
+            slots[step.object] = None;
         }
         executed_steps = i + 1;
         // Check every live object after every step: the paper's "invariant
@@ -843,20 +822,6 @@ pub struct InvariantBreaker {
     /// The shrunk reproducer (for corpus replays, the replayed sequence
     /// itself — it was already shrunk when deposited).
     pub shrunk: WalkSequence,
-}
-
-fn is_deadline_payload(panic: &(dyn std::any::Any + Send)) -> bool {
-    panic.downcast_ref::<&str>() == Some(&DEADLINE_PANIC_PAYLOAD)
-}
-
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 #[cfg(test)]

@@ -90,8 +90,6 @@ pub use persist::{
 };
 pub use render::{render_cpp_suite, render_cpp_test_case};
 pub use retarget::{retarget_suite, RetargetMap};
-pub use runner::{
-    CallOutcome, CallRecord, CaseResult, CaseStatus, SuiteResult, TestRunner, Transcript,
-};
+pub use runner::{CallOutcome, CaseResult, CaseStatus, SuiteResult, TestRunner, Transcript};
 pub use selection::{select_transactions, Selection, SelectionCriterion};
 pub use testcase::{ArgOrigin, MethodCall, SuiteStats, TestCase, TestSuite};

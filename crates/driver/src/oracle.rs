@@ -9,7 +9,8 @@
 //! [`compare_transcripts`] implements the golden comparison over the
 //! runner's [`Transcript`]s; [`Verdict`] explains the first divergence.
 
-use crate::runner::{CaseResult, SuiteResult, Transcript};
+use crate::runner::{CallOutcome, CaseResult, SuiteResult, Transcript, INVARIANT_CALL};
+use crate::testcase::{MethodCall, TestCase};
 use std::fmt;
 
 /// How two runs of the same test case differ (first difference only).
@@ -79,39 +80,53 @@ impl Verdict {
     }
 }
 
-fn render_record(t: &Transcript, index: usize) -> String {
-    let r = &t.records[index];
-    match &r.outcome {
-        crate::runner::CallOutcome::Returned(v) => format!("{} -> {}", r.call, v.to_literal()),
-        crate::runner::CallOutcome::Raised { tag, message } => {
-            format!("{} !! [{tag}] {message}", r.call)
+/// Renders record `index` of `t`, naming its call from `case`.
+fn render_record(case: &TestCase, t: &Transcript, index: usize) -> String {
+    let call = || {
+        case.call_at(index)
+            .map(MethodCall::render)
+            .unwrap_or_default()
+    };
+    match &t.records[index] {
+        CallOutcome::Returned(v) => format!("{} -> {}", call(), v.to_literal()),
+        CallOutcome::Raised { tag, message } => format!("{} !! [{tag}] {message}", call()),
+        CallOutcome::InvariantFailed { message } => {
+            format!("{INVARIANT_CALL} !! [INVARIANT] {message}")
         }
     }
 }
 
 /// Compares an observed transcript against the golden transcript of the
-/// same test case.
+/// same test case, `case`.
 ///
 /// The comparison covers, in order: per-call outcomes (return values and
 /// raised exceptions), transcript length (early aborts), and the final
-/// reporter state. The *first* difference is reported.
+/// reporter state. The *first* difference is reported; its call is named
+/// from `case`.
 ///
 /// # Examples
 ///
 /// ```
-/// use concat_driver::{compare_transcripts, Transcript};
+/// use concat_driver::{compare_transcripts, MethodCall, TestCase, Transcript};
+/// let case = TestCase {
+///     id: 0,
+///     transaction_index: 0,
+///     node_path: vec!["n1".into()],
+///     constructor: MethodCall::generated("m1", "Stack", vec![]),
+///     calls: vec![],
+/// };
 /// let golden = Transcript { records: vec![], final_report: None };
 /// let observed = golden.clone();
-/// assert!(compare_transcripts(&golden, &observed).is_match());
+/// assert!(compare_transcripts(&case, &golden, &observed).is_match());
 /// ```
-pub fn compare_transcripts(golden: &Transcript, observed: &Transcript) -> Verdict {
+pub fn compare_transcripts(case: &TestCase, golden: &Transcript, observed: &Transcript) -> Verdict {
     let n = golden.records.len().min(observed.records.len());
     for i in 0..n {
         if golden.records[i] != observed.records[i] {
             return Verdict::Differs(Divergence::CallOutcome {
                 index: i,
-                expected: render_record(golden, i),
-                observed: render_record(observed, i),
+                expected: render_record(case, golden, i),
+                observed: render_record(case, observed, i),
             });
         }
     }
@@ -143,7 +158,7 @@ pub fn differing_cases(golden: &SuiteResult, observed: &SuiteResult) -> Vec<usiz
     let mut out = Vec::new();
     for (g, o) in golden.cases.iter().zip(observed.cases.iter()) {
         debug_assert_eq!(g.case_id, o.case_id, "suite results must align");
-        if !compare_transcripts(&g.transcript, &o.transcript).is_match() {
+        if g.transcript != o.transcript {
             out.push(g.case_id);
         }
     }
@@ -179,14 +194,14 @@ impl ManualOracle {
         self.expectations.is_empty()
     }
 
-    /// Checks an executed case against its expectation, if any.
-    pub fn check(&self, result: &CaseResult) -> Verdict {
+    /// Checks an executed run of `case` against its expectation, if any.
+    pub fn check(&self, case: &TestCase, result: &CaseResult) -> Verdict {
         match self
             .expectations
             .iter()
             .find(|(id, _)| *id == result.case_id)
         {
-            Some((_, expected)) => compare_transcripts(expected, &result.transcript),
+            Some((_, expected)) => compare_transcripts(case, expected, &result.transcript),
             None => Verdict::Match,
         }
     }
@@ -195,18 +210,29 @@ impl ManualOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{CallOutcome, CallRecord, CaseStatus};
+    use crate::runner::CaseStatus;
     use concat_bit::StateReport;
     use concat_runtime::Value;
+
+    /// The case every test transcript belongs to: `M()` then `M(1)`,
+    /// `M(2)`, `M(3)`.
+    fn case() -> TestCase {
+        TestCase {
+            id: 0,
+            transaction_index: 0,
+            node_path: vec!["n1".into()],
+            constructor: MethodCall::generated("m1", "M", vec![]),
+            calls: (1..=3)
+                .map(|v| MethodCall::generated("m2", "M", vec![Value::Int(v)]))
+                .collect(),
+        }
+    }
 
     fn transcript(vals: &[i64], report: Option<i64>) -> Transcript {
         Transcript {
             records: vals
                 .iter()
-                .map(|v| CallRecord {
-                    call: format!("M({v})"),
-                    outcome: CallOutcome::Returned(Value::Int(*v)),
-                })
+                .map(|v| CallOutcome::Returned(Value::Int(*v)))
                 .collect(),
             final_report: report.map(|n| {
                 let mut r = StateReport::new();
@@ -219,14 +245,14 @@ mod tests {
     #[test]
     fn identical_transcripts_match() {
         let t = transcript(&[1, 2], Some(3));
-        assert!(compare_transcripts(&t, &t.clone()).is_match());
+        assert!(compare_transcripts(&case(), &t, &t.clone()).is_match());
     }
 
     #[test]
     fn differing_return_value_detected_with_index() {
         let g = transcript(&[1, 2], Some(3));
         let o = transcript(&[1, 5], Some(3));
-        match compare_transcripts(&g, &o) {
+        match compare_transcripts(&case(), &g, &o) {
             Verdict::Differs(Divergence::CallOutcome {
                 index,
                 expected,
@@ -245,7 +271,7 @@ mod tests {
         let g = transcript(&[1, 2, 3], Some(0));
         let o = transcript(&[1, 2], Some(0));
         assert!(matches!(
-            compare_transcripts(&g, &o),
+            compare_transcripts(&case(), &g, &o),
             Verdict::Differs(Divergence::Length {
                 expected: 3,
                 observed: 2
@@ -258,7 +284,7 @@ mod tests {
         let g = transcript(&[1], Some(10));
         let o = transcript(&[1], Some(11));
         assert!(matches!(
-            compare_transcripts(&g, &o),
+            compare_transcripts(&case(), &g, &o),
             Verdict::Differs(Divergence::FinalState { .. })
         ));
     }
@@ -267,18 +293,18 @@ mod tests {
     fn missing_report_is_a_difference() {
         let g = transcript(&[1], Some(10));
         let o = transcript(&[1], None);
-        assert!(!compare_transcripts(&g, &o).is_match());
+        assert!(!compare_transcripts(&case(), &g, &o).is_match());
     }
 
     #[test]
     fn exception_vs_return_is_a_difference() {
         let g = transcript(&[1], None);
         let mut o = g.clone();
-        o.records[0].outcome = CallOutcome::Raised {
+        o.records[0] = CallOutcome::Raised {
             tag: "PANIC".into(),
             message: "x".into(),
         };
-        match compare_transcripts(&g, &o) {
+        match compare_transcripts(&case(), &g, &o) {
             Verdict::Differs(Divergence::CallOutcome { observed, .. }) => {
                 assert!(observed.contains("[PANIC]"));
             }
@@ -335,9 +361,9 @@ mod tests {
             status: CaseStatus::Passed,
             transcript: transcript(&[99], None),
         };
-        assert!(oracle.check(&good).is_match());
-        assert!(!oracle.check(&bad).is_match());
-        assert!(oracle.check(&unregistered).is_match());
+        assert!(oracle.check(&case(), &good).is_match());
+        assert!(!oracle.check(&case(), &bad).is_match());
+        assert!(oracle.check(&case(), &unregistered).is_match());
     }
 
     #[test]

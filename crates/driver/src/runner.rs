@@ -8,16 +8,17 @@
 
 use crate::coverage::CoverageMatrix;
 use crate::log::TestLog;
-use crate::testcase::{TestCase, TestSuite};
-use concat_bit::{BitControl, ComponentFactory, StateReport};
+use crate::testcase::{MethodCall, TestCase, TestSuite};
+use concat_bit::{BitControl, ComponentFactory, StateReport, TestableComponent};
 use concat_obs::{SpanId, Telemetry};
 use concat_runtime::{
     Budget, BudgetResource, CancelToken, TestException, Value, Watchdog, DEADLINE_PANIC_PAYLOAD,
 };
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{self, AssertUnwindSafe};
 
-/// Outcome of one method invocation, as recorded in the transcript.
+/// One transcript record: what a call did, or the failed invariant check
+/// that ended the case.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CallOutcome {
     /// The call returned a value (possibly `Null`).
@@ -29,6 +30,12 @@ pub enum CallOutcome {
         /// Human-readable description.
         message: String,
     },
+    /// The class invariant checked after the previous call failed. Its own
+    /// kind, so it never equals a call that raises an `INVARIANT` assertion.
+    InvariantFailed {
+        /// The violation's message.
+        message: String,
+    },
 }
 
 impl CallOutcome {
@@ -38,24 +45,17 @@ impl CallOutcome {
     }
 }
 
-/// One line of a transcript: the call and what it did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CallRecord {
-    /// Rendered call, e.g. `UpdateQty(5)`.
-    pub call: String,
-    /// What happened.
-    pub outcome: CallOutcome,
-}
-
 /// Everything observable about one test case execution.
 ///
-/// Two runs are behaviourally indistinguishable exactly when their
-/// transcripts are equal — this is the oracle's comparison unit (crash,
-/// exception, output and final state all participate).
+/// Two runs of the same case are behaviourally indistinguishable exactly
+/// when their transcripts are equal — this is the oracle's comparison unit
+/// (crash, exception, output and final state all participate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transcript {
-    /// Per-call records in execution order (constructor first).
-    pub records: Vec<CallRecord>,
+    /// One record per executed call: record `i` belongs to call `i` of the
+    /// case, the constructor being call 0. A failed invariant check adds a
+    /// last [`CallOutcome::InvariantFailed`] record.
+    pub records: Vec<CallOutcome>,
     /// Reporter snapshot at the end of the case (absent if the object was
     /// never successfully constructed or the case panicked).
     pub final_report: Option<StateReport>,
@@ -328,31 +328,19 @@ impl TestRunner {
         self.run_suite_impl(factory, suite, None, None, parent)
     }
 
-    /// Runs a whole suite while recording the case × feature
-    /// [`CoverageMatrix`]: for each executed case, the static set of
-    /// interface methods its transaction invokes. Mutation analysis uses
+    /// Runs a whole suite for its results alone, recording the case ×
+    /// feature [`CoverageMatrix`]: for each executed case, the static set
+    /// of interface methods its transaction invokes. Mutation analysis uses
     /// the matrix of the golden run to skip cases that cannot reach a
-    /// mutated method.
-    pub fn run_suite_with_coverage(
-        &self,
-        factory: &dyn ComponentFactory,
-        suite: &TestSuite,
-        log: &mut TestLog,
-    ) -> (SuiteResult, CoverageMatrix) {
-        self.run_suite_with_coverage_under(factory, suite, log, SpanId::NONE)
-    }
-
-    /// [`TestRunner::run_suite_with_coverage`] with the suite span
-    /// parented under `parent`.
+    /// mutated method. The suite span is parented under `parent`.
     pub fn run_suite_with_coverage_under(
         &self,
         factory: &dyn ComponentFactory,
         suite: &TestSuite,
-        log: &mut TestLog,
         parent: SpanId,
     ) -> (SuiteResult, CoverageMatrix) {
         let mut coverage = CoverageMatrix::new(suite.class_name.clone());
-        let result = self.run_suite_impl(factory, suite, Some(log), Some(&mut coverage), parent);
+        let result = self.run_suite_impl(factory, suite, None, Some(&mut coverage), parent);
         (result, coverage)
     }
 
@@ -426,15 +414,10 @@ impl TestRunner {
         }
         span.finish();
         if telemetry.is_enabled() {
-            let ok = result
-                .transcript
-                .records
-                .iter()
-                .filter(|r| r.outcome.is_ok())
-                .count() as u64;
-            let raised = result.transcript.records.len() as u64 - ok;
+            let records = &result.transcript.records;
+            let ok = records.iter().filter(|r| r.is_ok()).count() as u64;
             telemetry.incr_by("call.ok", ok);
-            telemetry.incr_by("call.raised", raised);
+            telemetry.incr_by("call.raised", records.len() as u64 - ok);
             telemetry.incr(match result.status {
                 CaseStatus::Passed => "case.passed",
                 CaseStatus::AssertionViolated { .. } => "case.assertion_violated",
@@ -447,272 +430,119 @@ impl TestRunner {
         result
     }
 
+    /// The one exit of a case: builds its [`CaseResult`] and logs it.
     fn run_case_impl(
         &self,
         factory: &dyn ComponentFactory,
         case: &TestCase,
-        mut log: Option<&mut TestLog>,
+        log: Option<&mut TestLog>,
     ) -> CaseResult {
-        // Only a log that keeps failure lines pays for rendering the case
-        // name into them.
-        let mut log_failure = |method: &str, message: &str| {
-            if let Some(log) = log.as_deref_mut() {
-                log.log_failure(&case.name(), method, message);
+        let mut records = Vec::with_capacity(case.calls.len() + 1);
+        let mut component = None;
+        let stop = self
+            .run_calls(factory, case, &mut records, &mut component)
+            .err();
+        let final_report = component
+            .filter(|_| stop.as_ref().is_none_or(|s| s.keeps_report))
+            .map(|c| c.reporter());
+        // Only an attached log pays for rendering the case and call names.
+        match (log, &stop, &final_report) {
+            (Some(log), Some(stop), _) => {
+                log.log_failure(&case.name(), &stop.call_name(case), &stop.message)
             }
-        };
-        let mut records = Vec::new();
-        let mut call_index = 0usize;
+            (Some(log), None, Some(report)) => log.log_pass(&case.name(), report),
+            _ => {}
+        }
+        CaseResult {
+            case_id: case.id,
+            status: stop.map_or(CaseStatus::Passed, |s| s.status),
+            transcript: Transcript {
+                records,
+                final_report,
+            },
+        }
+    }
 
-        // Construct the object via the factory (birth node).
-        let ctor_render = case.constructor.render();
-        let constructed = catch_unwind(AssertUnwindSafe(|| {
-            factory.construct(
-                &case.constructor.method,
-                &case.constructor.args,
-                self.ctl.clone(),
-            )
-        }));
-        let mut component = match constructed {
-            Ok(Ok(c)) => {
-                records.push(CallRecord {
-                    call: ctor_render,
-                    outcome: CallOutcome::Returned(Value::Null),
-                });
-                c
-            }
-            Ok(Err(exc)) => {
-                records.push(CallRecord {
-                    call: ctor_render,
-                    outcome: CallOutcome::Raised {
-                        tag: exc.tag().to_owned(),
-                        message: exc.to_string(),
-                    },
-                });
-                let status = status_from_exception(&exc, call_index);
-                log_failure(&case.constructor.render(), &exc.to_string());
-                return CaseResult {
-                    case_id: case.id,
-                    status,
-                    transcript: Transcript {
-                        records,
-                        final_report: None,
-                    },
-                };
-            }
-            Err(panic) => {
-                let deadline = is_deadline_payload(panic.as_ref());
-                let message = panic_message(panic);
-                records.push(CallRecord {
-                    call: ctor_render,
-                    outcome: CallOutcome::Raised {
-                        tag: if deadline { "DEADLINE" } else { "PANIC" }.into(),
-                        message: message.clone(),
-                    },
-                });
-                log_failure(&case.constructor.render(), &message);
-                let status = if deadline {
-                    CaseStatus::DeadlineExceeded {
-                        at_call: call_index,
-                    }
-                } else {
-                    CaseStatus::Panicked {
-                        message,
-                        at_call: call_index,
-                    }
-                };
-                return CaseResult {
-                    case_id: case.id,
-                    status,
-                    transcript: Transcript {
-                        records,
-                        final_report: None,
-                    },
-                };
-            }
-        };
-
+    /// Construct → (invariant, call)*, recording one outcome per call into
+    /// `records` and leaving the built object in `slot`. `Err` is the stop
+    /// that ended the case early.
+    fn run_calls(
+        &self,
+        factory: &dyn ComponentFactory,
+        case: &TestCase,
+        records: &mut Vec<CallOutcome>,
+        slot: &mut Option<Box<dyn TestableComponent>>,
+    ) -> Result<(), Stop> {
+        let ctor = &case.constructor;
+        let built = guarded(|| factory.construct(&ctor.method, &ctor.args, self.ctl.clone()));
+        let component = slot.insert(settle(records, built, 0)?);
+        records.push(CallOutcome::Returned(Value::Null));
         // Invariant after construction (Figure 6 checks before the first
         // task method).
-        if self.check_invariants {
-            if let Err(v) = component.invariant_test() {
-                let message = v.to_string();
-                records.push(CallRecord {
-                    call: "InvariantTest()".into(),
-                    outcome: CallOutcome::Raised {
-                        tag: "INVARIANT".into(),
-                        message: message.clone(),
-                    },
-                });
-                log_failure("InvariantTest()", &message);
-                return CaseResult {
-                    case_id: case.id,
-                    status: CaseStatus::AssertionViolated {
-                        message,
-                        at_call: call_index,
-                    },
-                    transcript: Transcript {
-                        records,
-                        final_report: Some(component.reporter()),
-                    },
+        self.check_invariant(&**component, records, 0)?;
+        // The byte budget counts each returned call's rendered length plus
+        // 8, constructor included; raises end the case before it counts.
+        let max_bytes = self.budget.max_transcript_bytes;
+        let mut bytes = max_bytes.map_or(0, |_| ctor.render().len() + 8);
+        for (at_call, call) in (1..).zip(&case.calls) {
+            if self.budget.max_calls.is_some_and(|max| at_call > max) {
+                let status = CaseStatus::BudgetExhausted {
+                    resource: BudgetResource::Calls,
+                    at_call: at_call - 1,
                 };
-            }
-        }
-
-        let mut transcript_bytes: usize = records.iter().map(record_size).sum();
-        for call in &case.calls {
-            if let Some(max) = self.budget.max_calls {
-                if call_index >= max {
-                    log_failure(&call.render(), "call budget exhausted");
-                    return CaseResult {
-                        case_id: case.id,
-                        status: CaseStatus::BudgetExhausted {
-                            resource: BudgetResource::Calls,
-                            at_call: call_index,
-                        },
-                        transcript: Transcript {
-                            records,
-                            final_report: Some(component.reporter()),
-                        },
-                    };
-                }
+                let message = "call budget exhausted";
+                return Err(Stop::new(status, true, Some(at_call), message));
             }
             // A deadline that fired between checkpoints preempts the
             // *next* call. A call that already returned keeps its
             // recorded outcome — a late-firing watchdog must never flip
             // finished work into a deadline stop; mid-call overruns
-            // unwind with the deadline payload and are classified below.
+            // unwind with the deadline payload and are settled below.
             if self.token.is_cancelled() {
-                call_index += 1;
-                log_failure(&call.render(), "execution deadline exceeded");
-                return CaseResult {
-                    case_id: case.id,
-                    status: CaseStatus::DeadlineExceeded {
-                        at_call: call_index,
-                    },
-                    transcript: Transcript {
-                        records,
-                        final_report: None,
-                    },
-                };
+                let status = CaseStatus::DeadlineExceeded { at_call };
+                let message = "execution deadline exceeded";
+                return Err(Stop::new(status, false, Some(at_call), message));
             }
-            call_index += 1;
-            let rendered = call.render();
-            let invoked = catch_unwind(AssertUnwindSafe(|| {
-                component.invoke(&call.method, &call.args)
-            }));
-            match invoked {
-                Ok(Ok(value)) => {
-                    records.push(CallRecord {
-                        call: rendered,
-                        outcome: CallOutcome::Returned(value),
-                    });
-                }
-                Ok(Err(exc)) => {
-                    let message = exc.to_string();
-                    records.push(CallRecord {
-                        call: rendered.clone(),
-                        outcome: CallOutcome::Raised {
-                            tag: exc.tag().to_owned(),
-                            message: message.clone(),
-                        },
-                    });
-                    log_failure(&rendered, &message);
-                    return CaseResult {
-                        case_id: case.id,
-                        status: status_from_exception(&exc, call_index),
-                        transcript: Transcript {
-                            records,
-                            final_report: Some(component.reporter()),
-                        },
+            let invoked = guarded(|| component.invoke(&call.method, &call.args));
+            let value = settle(records, invoked, at_call)?;
+            records.push(CallOutcome::Returned(value));
+            if let Some(max) = max_bytes {
+                bytes += call.render().len() + 8;
+                if bytes > max {
+                    let status = CaseStatus::BudgetExhausted {
+                        resource: BudgetResource::TranscriptBytes,
+                        at_call,
                     };
-                }
-                Err(panic) => {
-                    let deadline = is_deadline_payload(panic.as_ref());
-                    let message = panic_message(panic);
-                    records.push(CallRecord {
-                        call: rendered.clone(),
-                        outcome: CallOutcome::Raised {
-                            tag: if deadline { "DEADLINE" } else { "PANIC" }.into(),
-                            message: message.clone(),
-                        },
-                    });
-                    log_failure(&rendered, &message);
-                    let status = if deadline {
-                        CaseStatus::DeadlineExceeded {
-                            at_call: call_index,
-                        }
-                    } else {
-                        CaseStatus::Panicked {
-                            message,
-                            at_call: call_index,
-                        }
-                    };
-                    return CaseResult {
-                        case_id: case.id,
-                        status,
-                        transcript: Transcript {
-                            records,
-                            final_report: None,
-                        },
-                    };
+                    let message = "transcript byte budget exhausted";
+                    return Err(Stop::new(status, true, Some(at_call), message));
                 }
             }
-            if let Some(max) = self.budget.max_transcript_bytes {
-                transcript_bytes += records.last().map_or(0, record_size);
-                if transcript_bytes > max {
-                    let last_call = records.last().map_or("", |r| r.call.as_str()).to_owned();
-                    log_failure(&last_call, "transcript byte budget exhausted");
-                    return CaseResult {
-                        case_id: case.id,
-                        status: CaseStatus::BudgetExhausted {
-                            resource: BudgetResource::TranscriptBytes,
-                            at_call: call_index,
-                        },
-                        transcript: Transcript {
-                            records,
-                            final_report: Some(component.reporter()),
-                        },
-                    };
-                }
-            }
-            if self.check_invariants {
-                if let Err(v) = component.invariant_test() {
-                    let message = v.to_string();
-                    records.push(CallRecord {
-                        call: "InvariantTest()".into(),
-                        outcome: CallOutcome::Raised {
-                            tag: "INVARIANT".into(),
-                            message: message.clone(),
-                        },
-                    });
-                    log_failure("InvariantTest()", &message);
-                    return CaseResult {
-                        case_id: case.id,
-                        status: CaseStatus::AssertionViolated {
-                            message,
-                            at_call: call_index,
-                        },
-                        transcript: Transcript {
-                            records,
-                            final_report: Some(component.reporter()),
-                        },
-                    };
-                }
-            }
+            self.check_invariant(&**component, records, at_call)?;
         }
+        Ok(())
+    }
 
-        let final_report = component.reporter();
-        if let Some(log) = log {
-            log.log_pass(&case.name(), &final_report);
+    /// Checks the class invariant (when enabled) after call `at_call`.
+    fn check_invariant(
+        &self,
+        component: &dyn TestableComponent,
+        records: &mut Vec<CallOutcome>,
+        at_call: usize,
+    ) -> Result<(), Stop> {
+        if !self.check_invariants {
+            return Ok(());
         }
-        CaseResult {
-            case_id: case.id,
-            status: CaseStatus::Passed,
-            transcript: Transcript {
-                records,
-                final_report: Some(final_report),
-            },
-        }
+        component.invariant_test().map_err(|v| {
+            let message = v.to_string();
+            records.push(CallOutcome::InvariantFailed {
+                message: message.clone(),
+            });
+            let status = CaseStatus::AssertionViolated {
+                message: message.clone(),
+                at_call,
+            };
+            Stop::new(status, true, None, message)
+        })
     }
 }
 
@@ -720,6 +550,77 @@ impl Default for TestRunner {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// What the log line names for a failed invariant check.
+pub(crate) const INVARIANT_CALL: &str = "InvariantTest()";
+
+/// Why a case stopped before its last call: all its one exit needs.
+struct Stop {
+    status: CaseStatus,
+    /// False after a panic or deadline unwind: the object's state is not
+    /// reported.
+    keeps_report: bool,
+    /// The call the log line names (0 is the constructor), or `None` for
+    /// the invariant check.
+    call: Option<usize>,
+    message: String,
+}
+
+impl Stop {
+    fn new(
+        status: CaseStatus,
+        keeps_report: bool,
+        call: Option<usize>,
+        message: impl Into<String>,
+    ) -> Stop {
+        Stop {
+            status,
+            keeps_report,
+            call,
+            message: message.into(),
+        }
+    }
+
+    /// The call the log line names, rendered from `case`.
+    fn call_name(&self, case: &TestCase) -> String {
+        match self.call {
+            Some(at) => case.call_at(at).map(MethodCall::render).unwrap_or_default(),
+            None => INVARIANT_CALL.to_owned(),
+        }
+    }
+}
+
+/// Unwraps a construct or invoke that returned normally. Any other ending
+/// is recorded as a raise and becomes the stop.
+fn settle<T>(
+    records: &mut Vec<CallOutcome>,
+    step: Guarded<Result<T, TestException>>,
+    at_call: usize,
+) -> Result<T, Stop> {
+    let (tag, status, keeps_report, message) = match step {
+        Guarded::Done(Ok(value)) => return Ok(value),
+        Guarded::Done(Err(exc)) => {
+            let status = status_from_exception(&exc, at_call);
+            (exc.tag(), status, true, exc.to_string())
+        }
+        Guarded::Panicked(message) => {
+            let status = CaseStatus::Panicked {
+                message: message.clone(),
+                at_call,
+            };
+            ("PANIC", status, false, message)
+        }
+        Guarded::Deadline => {
+            let status = CaseStatus::DeadlineExceeded { at_call };
+            ("DEADLINE", status, false, DEADLINE_PANIC_PAYLOAD.to_owned())
+        }
+    };
+    records.push(CallOutcome::Raised {
+        tag: tag.to_owned(),
+        message: message.clone(),
+    });
+    Err(Stop::new(status, keeps_report, Some(at_call), message))
 }
 
 fn status_from_exception(exc: &TestException, at_call: usize) -> CaseStatus {
@@ -740,16 +641,23 @@ fn status_from_exception(exc: &TestException, at_call: usize) -> CaseStatus {
     }
 }
 
-/// Approximate transcript footprint of one record, for the byte budget.
-/// Returned values count a small constant; raised outcomes count their
-/// rendered tag + message (the parts that actually grow unbounded when a
-/// mutant spews output).
-fn record_size(record: &CallRecord) -> usize {
-    record.call.len()
-        + match &record.outcome {
-            CallOutcome::Returned(_) => 8,
-            CallOutcome::Raised { tag, message } => tag.len() + message.len(),
-        }
+/// How a guarded construct or invoke ended.
+pub(crate) enum Guarded<T> {
+    /// It returned.
+    Done(T),
+    /// It panicked; the rendered payload.
+    Panicked(String),
+    /// A deadline checkpoint unwound it.
+    Deadline,
+}
+
+/// Runs one construct or invoke of a component, catching its unwind.
+pub(crate) fn guarded<T>(step: impl FnOnce() -> T) -> Guarded<T> {
+    match panic::catch_unwind(AssertUnwindSafe(step)) {
+        Ok(value) => Guarded::Done(value),
+        Err(panic) if is_deadline_payload(panic.as_ref()) => Guarded::Deadline,
+        Err(panic) => Guarded::Panicked(panic_message(panic)),
+    }
 }
 
 fn is_deadline_payload(panic: &(dyn std::any::Any + Send)) -> bool {
@@ -778,6 +686,9 @@ mod tests {
     struct Chaos {
         n: i64,
         ctl: BitControl,
+        /// Keeps the invariant on `Corrupt` and has `Mimic` raise the
+        /// violation the invariant check would report.
+        mimic: bool,
     }
 
     impl Component for Chaos {
@@ -786,7 +697,7 @@ mod tests {
         }
         fn method_names(&self) -> Vec<&'static str> {
             vec![
-                "Add", "Corrupt", "Panic", "Stall", "Refuse", "Total", "~Chaos",
+                "Add", "Corrupt", "Mimic", "Panic", "Stall", "Refuse", "Total", "~Chaos",
             ]
         }
         fn invoke(&mut self, m: &str, a: &[Value]) -> InvokeResult {
@@ -796,9 +707,17 @@ mod tests {
                     Ok(Value::Null)
                 }
                 "Corrupt" => {
-                    self.n = -1;
+                    if !self.mimic {
+                        self.n = -1;
+                    }
                     Ok(Value::Null)
                 }
+                "Mimic" => Err(TestException::Assertion(AssertionViolation {
+                    kind: concat_runtime::AssertionKind::Invariant,
+                    class_name: "Chaos".into(),
+                    method: String::new(),
+                    message: "n >= 0".into(),
+                })),
                 "Panic" => panic!("chaos reigns"),
                 "Stall" => std::panic::panic_any(DEADLINE_PANIC_PAYLOAD),
                 "Refuse" => Err(TestException::domain(m, "refused")),
@@ -842,10 +761,34 @@ mod tests {
             ctl: BitControl,
         ) -> Result<Box<dyn TestableComponent>, TestException> {
             match constructor {
-                "Chaos" => Ok(Box::new(Chaos { n: 0, ctl })),
+                "Chaos" => Ok(Box::new(Chaos {
+                    n: 0,
+                    ctl,
+                    mimic: false,
+                })),
                 "ChaosBroken" => Err(TestException::domain(constructor, "cannot build")),
                 other => Err(unknown_method("Chaos", other)),
             }
+        }
+    }
+
+    /// Builds every `Chaos` in mimic mode.
+    struct MimicFactory;
+    impl ComponentFactory for MimicFactory {
+        fn class_name(&self) -> &str {
+            "Chaos"
+        }
+        fn construct(
+            &self,
+            _constructor: &str,
+            _args: &[Value],
+            ctl: BitControl,
+        ) -> Result<Box<dyn TestableComponent>, TestException> {
+            Ok(Box::new(Chaos {
+                n: 0,
+                ctl,
+                mimic: true,
+            }))
         }
     }
 
@@ -876,7 +819,7 @@ mod tests {
         assert!(r.status.is_pass());
         assert_eq!(r.transcript.records.len(), 4);
         assert_eq!(
-            r.transcript.records[2].outcome,
+            r.transcript.records[2],
             CallOutcome::Returned(Value::Int(4))
         );
         let report = r.transcript.final_report.unwrap();
@@ -896,7 +839,7 @@ mod tests {
             .transcript
             .records
             .iter()
-            .any(|rec| rec.call == "InvariantTest()"));
+            .any(|rec| matches!(rec, CallOutcome::InvariantFailed { .. })));
         assert!(log.render().contains("Invariant") || log.render().contains("invariant"));
     }
 
@@ -934,7 +877,7 @@ mod tests {
         std::panic::set_hook(prev);
         assert_eq!(r.status, CaseStatus::DeadlineExceeded { at_call: 1 });
         assert_eq!(
-            r.transcript.records.last().map(|rec| match &rec.outcome {
+            r.transcript.records.last().map(|rec| match rec {
                 CallOutcome::Raised { tag, .. } => tag.clone(),
                 other => format!("{other:?}"),
             }),
@@ -1032,7 +975,7 @@ mod tests {
         assert!(r.status.is_pass(), "finished work kept: {:?}", r.status);
         assert_eq!(r.transcript.records.len(), 2);
         assert_eq!(
-            r.transcript.records[1].outcome,
+            r.transcript.records[1],
             CallOutcome::Returned(Value::Int(7))
         );
     }
@@ -1054,7 +997,7 @@ mod tests {
         let r = runner.run_case(&factory, &case, &mut log);
         assert_eq!(r.status, CaseStatus::DeadlineExceeded { at_call: 2 });
         assert_eq!(
-            r.transcript.records[1].outcome,
+            r.transcript.records[1],
             CallOutcome::Returned(Value::Int(7)),
             "the call that finished before the stop keeps its outcome"
         );
@@ -1204,6 +1147,70 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn transcript_byte_budget_trips_mid_case() {
+        // Each returned call counts its rendered length plus 8: `Chaos()`
+        // 15, `Add(1)` 14, `Add(2)` 14, `Total()` 15, `~Chaos()` 16.
+        let case = case_with(vec![
+            MethodCall::generated("m2", "Add", vec![Value::Int(1)]),
+            MethodCall::generated("m2", "Add", vec![Value::Int(2)]),
+            MethodCall::generated("m3", "Total", vec![]),
+            dtor(),
+        ]);
+        for (max, at_call) in [(57, 3), (58, 4)] {
+            let runner =
+                TestRunner::new().with_budget(Budget::unlimited().with_max_transcript_bytes(max));
+            let mut log = TestLog::new();
+            let r = runner.run_case(&ChaosFactory, &case, &mut log);
+            assert_eq!(
+                r.status,
+                CaseStatus::BudgetExhausted {
+                    resource: BudgetResource::TranscriptBytes,
+                    at_call,
+                },
+                "max {max}"
+            );
+            // The constructor plus every call up to the one that tripped.
+            assert_eq!(r.transcript.records.len(), at_call + 1, "max {max}");
+            assert!(r.transcript.final_report.is_some());
+            let named = case.calls[at_call - 1].render();
+            assert!(log.render().contains(&format!("Method called: {named}")));
+        }
+    }
+
+    #[test]
+    fn failed_invariant_check_never_equals_a_raised_invariant_assertion() {
+        // `Corrupt` breaks the invariant, so the check after call 1 fails;
+        // in mimic mode call 2 raises the identical INVARIANT violation.
+        let runner = TestRunner::new();
+        let case = case_with(vec![
+            MethodCall::generated("m2", "Corrupt", vec![]),
+            MethodCall::generated("m3", "Mimic", vec![]),
+        ]);
+        let checked = runner.run_case(&ChaosFactory, &case, &mut TestLog::new());
+        let raised = runner.run_case(&MimicFactory, &case, &mut TestLog::new());
+        let message = "invariant is violated in Chaos::: n >= 0".to_owned();
+        assert_eq!(
+            checked.status,
+            CaseStatus::AssertionViolated {
+                message: message.clone(),
+                at_call: 1
+            }
+        );
+        assert_eq!(
+            raised.status,
+            CaseStatus::AssertionViolated {
+                message,
+                at_call: 2
+            }
+        );
+        let (a, b) = (&checked.transcript.records, &raised.transcript.records);
+        assert_eq!(a.len(), 3);
+        assert_eq!(b.len(), 3);
+        assert_eq!(a[..2], b[..2], "the same calls returned the same values");
+        assert_ne!(a[2], b[2]);
     }
 
     #[test]

@@ -98,6 +98,14 @@ impl TestCase {
         format!("TC{}", self.id)
     }
 
+    /// Call `position` of the case: the constructor is call 0.
+    pub(crate) fn call_at(&self, position: usize) -> Option<&MethodCall> {
+        match position {
+            0 => Some(&self.constructor),
+            p => self.calls.get(p - 1),
+        }
+    }
+
     /// All method names exercised, constructor first.
     pub fn method_names(&self) -> Vec<&str> {
         std::iter::once(self.constructor.method.as_str())

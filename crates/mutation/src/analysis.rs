@@ -20,7 +20,7 @@ use crate::journal::campaign_fingerprint;
 use crate::ledger::{CampaignLedger, LeaseOutcome, Ruling, INLINE};
 use crate::shard::process_lease;
 use concat_bit::ComponentFactory;
-use concat_driver::{CaseStatus, CoverageMatrix, SuiteResult, TestLog, TestRunner, TestSuite};
+use concat_driver::{CaseStatus, CoverageMatrix, SuiteResult, TestRunner, TestSuite};
 use concat_obs::{MemorySink, SpanId, Telemetry};
 use concat_runtime::{recommended_workers, write_atomic, Budget, CancelToken, RetryPolicy};
 use std::collections::{BTreeSet, HashMap};
@@ -866,17 +866,12 @@ pub(crate) fn run_golden(
     telemetry: &Telemetry,
 ) -> GoldenBaseline {
     let golden_span = telemetry.span("golden", factory.class_name());
-    let (golden, coverage) =
-        runner.run_suite_with_coverage_under(factory, suite, &mut TestLog::new(), golden_span.id());
+    let (golden, coverage) = runner.run_suite_with_coverage_under(factory, suite, golden_span.id());
     let mut probes = Vec::with_capacity(config.probe_suites.len());
     let mut probe_coverage = Vec::with_capacity(config.probe_suites.len());
     for probe in &config.probe_suites {
-        let (result, matrix) = runner.run_suite_with_coverage_under(
-            factory,
-            probe,
-            &mut TestLog::new(),
-            golden_span.id(),
-        );
+        let (result, matrix) =
+            runner.run_suite_with_coverage_under(factory, probe, golden_span.id());
         probes.push(result);
         probe_coverage.push(matrix);
     }

@@ -69,7 +69,7 @@
 //! `mutation_demo verdicts <report>`, writes the same verdict report
 //! from an *untraced* run of the identical campaign; CI's `bench-smoke`
 //! job `cmp`s the two to prove the recorder perturbs nothing, and
-//! uploads the trace and BENCH_6.json as artifacts.
+//! uploads the trace as an artifact.
 //!
 //! A fifth mode, `mutation_demo invariant <transcript> <report> [--seed N]
 //! [--corpus <dir>]`, runs the stateful invariant-fuzzing campaign on
