@@ -6,7 +6,6 @@
 //! [`TestRunner`] reproduces that behaviour and additionally records a full
 //! [`Transcript`] per case so the mutation oracle can compare runs.
 
-use crate::coverage::CoverageMatrix;
 use crate::log::TestLog;
 use crate::testcase::{MethodCall, TestCase, TestSuite};
 use concat_bit::{BitControl, ComponentFactory, StateReport, TestableComponent};
@@ -311,67 +310,68 @@ impl TestRunner {
         suite: &TestSuite,
         log: &mut TestLog,
     ) -> SuiteResult {
-        self.run_suite_impl(factory, suite, Some(log), None, SpanId::NONE)
+        self.run_cases(factory, suite, &mut suite.iter(), Some(log), SpanId::NONE)
     }
 
-    /// Runs a whole suite for its results alone — no log lines, no
-    /// coverage — with the suite span parented under `parent`: how the
-    /// mutation engine runs a mutant and attributes the execution to the
-    /// mutant (and transitively the worker and campaign) that caused it.
-    /// [`SpanId::NONE`] leaves the suite a root span.
+    /// Runs a whole suite for its results alone — no log lines — with
+    /// the suite span parented under `parent`. [`SpanId::NONE`] leaves
+    /// the suite a root span.
     pub fn run_suite_under(
         &self,
         factory: &dyn ComponentFactory,
         suite: &TestSuite,
         parent: SpanId,
     ) -> SuiteResult {
-        self.run_suite_impl(factory, suite, None, None, parent)
+        self.run_cases(factory, suite, &mut suite.iter(), None, parent)
     }
 
-    /// Runs a whole suite for its results alone, recording the case ×
-    /// feature [`CoverageMatrix`]: for each executed case, the static set
-    /// of interface methods its transaction invokes. Mutation analysis uses
-    /// the matrix of the golden run to skip cases that cannot reach a
-    /// mutated method. The suite span is parented under `parent`.
-    pub fn run_suite_with_coverage_under(
+    /// Runs only the cases of `suite` at `positions`, in that order, for
+    /// their results alone, with the suite span parented under `parent`:
+    /// how the mutation engine runs a mutant over its scope and
+    /// attributes the execution to the mutant (and transitively the
+    /// worker and campaign) that caused it. Result `i` belongs to the
+    /// case at `positions[i]`.
+    ///
+    /// # Panics
+    ///
+    /// When a position is out of range for `suite`.
+    pub fn run_positions_under(
         &self,
         factory: &dyn ComponentFactory,
         suite: &TestSuite,
+        positions: &[usize],
         parent: SpanId,
-    ) -> (SuiteResult, CoverageMatrix) {
-        let mut coverage = CoverageMatrix::new(suite.class_name.clone());
-        let result = self.run_suite_impl(factory, suite, None, Some(&mut coverage), parent);
-        (result, coverage)
+    ) -> SuiteResult {
+        let cases = &mut positions.iter().map(|&pos| &suite.cases[pos]);
+        self.run_cases(factory, suite, cases, None, parent)
     }
 
-    /// The suite loop behind every `run_suite*` entry point; `log` and
-    /// `coverage` are filled only when given.
-    fn run_suite_impl(
+    /// The suite loop behind every `run_*` entry point; `log` is filled
+    /// only when given. Deliberately not generic over the iterator: one
+    /// instance of the loop serves every caller.
+    fn run_cases(
         &self,
         factory: &dyn ComponentFactory,
         suite: &TestSuite,
+        cases: &mut dyn Iterator<Item = &TestCase>,
         mut log: Option<&mut TestLog>,
-        mut coverage: Option<&mut CoverageMatrix>,
         parent: SpanId,
     ) -> SuiteResult {
         let span = self.telemetry.at(parent).span("suite", &suite.class_name);
         // Case spans nest under the suite span.
         let scoped = self.telemetry.at(span.id());
-        let mut cases = Vec::with_capacity(suite.len());
+        let mut results = Vec::with_capacity(cases.size_hint().0);
         let mut notes = Vec::new();
-        for case in suite {
-            if let Some(coverage) = coverage.as_deref_mut() {
-                coverage.record(case.id, case.method_names().iter().map(|m| (*m).to_owned()));
-            }
+        for case in cases {
             let result = self.run_case_with(&scoped, factory, case, log.as_deref_mut());
             if result.status.is_harness_stop() {
                 notes.push(format!("case {}: {}", result.case_id, result.status));
             }
-            cases.push(result);
+            results.push(result);
         }
         SuiteResult {
             class_name: suite.class_name.clone(),
-            cases,
+            cases: results,
             notes,
         }
     }

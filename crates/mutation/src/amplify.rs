@@ -110,38 +110,6 @@ impl AmplifyOutcome {
 pub type CandidateSource<'a> =
     &'a mut dyn FnMut(&TestSuite, &[String], usize, usize) -> Result<TestSuite, GenerateError>;
 
-/// How rounds execute their analyses: through the sequential entry point
-/// (borrowing the caller's factory/switch harness) or the sharded one.
-enum Exec<'a> {
-    Sequential {
-        factory: &'a dyn ComponentFactory,
-        switch: &'a MutationSwitch,
-    },
-    Parallel {
-        shards: &'a dyn ClonableFactory,
-    },
-}
-
-impl Exec<'_> {
-    fn class_name(&self) -> &str {
-        match self {
-            Exec::Sequential { factory, .. } => factory.class_name(),
-            Exec::Parallel { shards } => shards.class_name(),
-        }
-    }
-
-    fn run(&self, suite: &TestSuite, mutants: &[Mutant], config: &MutationConfig) -> MutationRun {
-        match self {
-            Exec::Sequential { factory, switch } => {
-                run_mutation_analysis(*factory, switch, suite, mutants, config)
-            }
-            Exec::Parallel { shards } => {
-                run_mutation_analysis_parallel(*shards, suite, mutants, config)
-            }
-        }
-    }
-}
-
 /// Runs the amplification loop sequentially (the `workers = 1` harness;
 /// `switch` must be the one `factory`'s components read through).
 ///
@@ -159,7 +127,8 @@ pub fn amplify_suite(
     synth: CandidateSource<'_>,
 ) -> Result<AmplifyOutcome, GenerateError> {
     amplify_with(
-        Exec::Sequential { factory, switch },
+        factory.class_name(),
+        &|suite, mutants, config| run_mutation_analysis(factory, switch, suite, mutants, config),
         suite,
         mutants,
         config,
@@ -185,7 +154,8 @@ pub fn amplify_suite_parallel(
     synth: CandidateSource<'_>,
 ) -> Result<AmplifyOutcome, GenerateError> {
     amplify_with(
-        Exec::Parallel { shards },
+        shards.class_name(),
+        &|suite, mutants, config| run_mutation_analysis_parallel(shards, suite, mutants, config),
         suite,
         mutants,
         config,
@@ -194,10 +164,10 @@ pub fn amplify_suite_parallel(
     )
 }
 
-/// The per-round analysis configuration: no probes (survival vs. kill on
-/// the candidates is the only question) and a round-suffixed journal so
-/// resumed campaigns replay each round independently.
-/// The mini-campaign's config for one amplification round. `telemetry`
+/// The mini-campaign's config for one amplification round: no probes
+/// (survival vs. kill on the candidates is the only question) and a
+/// round-suffixed journal so resumed campaigns replay each round
+/// independently. `telemetry`
 /// is the round-scoped handle, so the mini-run's `mutation` span nests
 /// under the `amplify.round` span in the flight recorder. `lineage` is
 /// the parent campaign's fingerprint: folded into the round journal's
@@ -292,8 +262,11 @@ fn strict_score(run: &MutationRun) -> f64 {
     }
 }
 
+/// The loop behind both entry points. `run_analysis` is the caller's
+/// analysis entry point bound to its harness; `class_name` is its class.
 fn amplify_with(
-    exec: Exec<'_>,
+    class_name: &str,
+    run_analysis: &dyn Fn(&TestSuite, &[Mutant], &MutationConfig) -> MutationRun,
     suite: &TestSuite,
     mutants: &[Mutant],
     config: &MutationConfig,
@@ -307,9 +280,9 @@ fn amplify_with(
     let lineage = config
         .journal_path
         .is_some()
-        .then(|| campaign_fingerprint(exec.class_name(), suite, mutants, config));
+        .then(|| campaign_fingerprint(class_name, suite, mutants, config));
     // Round 0: the plain campaign over the base suite (main journal).
-    let mut run = exec.run(suite, mutants, config);
+    let mut run = run_analysis(suite, mutants, config);
     let baseline_score = run.score();
     let mut amplified = suite.clone();
     let mut rounds = Vec::new();
@@ -369,7 +342,7 @@ fn amplify_with(
             .iter()
             .map(|&index| run.results[index].mutant.clone())
             .collect();
-        let mini = exec.run(
+        let mini = run_analysis(
             &candidates,
             &alive_mutants,
             &round_config(config, round, lineage, &telemetry.at(round_span.id())),

@@ -20,7 +20,9 @@ use crate::journal::campaign_fingerprint;
 use crate::ledger::{CampaignLedger, LeaseOutcome, Ruling, INLINE};
 use crate::shard::process_lease;
 use concat_bit::ComponentFactory;
-use concat_driver::{CaseStatus, CoverageMatrix, SuiteResult, TestRunner, TestSuite};
+use concat_driver::{
+    CaseResult, CaseStatus, CoverageMatrix, SuiteResult, TestCase, TestRunner, TestSuite,
+};
 use concat_obs::{MemorySink, SpanId, Telemetry};
 use concat_runtime::{recommended_workers, write_atomic, Budget, CancelToken, RetryPolicy};
 use std::collections::{BTreeSet, HashMap};
@@ -297,14 +299,15 @@ pub struct MutationConfig {
     /// workers, or inline on the calling thread when none survive. Partial
     /// results are never discarded.
     pub worker_restarts: usize,
-    /// Coverage-matrix selection (the fast path): per mutant, execute
-    /// only the cases whose transactions statically invoke the mutated
-    /// method — every other case cannot reach an armed site (see
+    /// Coverage-matrix selection (the fast path): a mutant's scope is the
+    /// positions of the cases whose transactions statically invoke the
+    /// mutated method ([`CoverageMatrix::from_suite`]) instead of every
+    /// position. Every other case cannot reach an armed site (see
     /// DESIGN.md §12 for the coverage contract) and is skipped, counted
-    /// under the `selection.skipped` telemetry counter. Verdicts are
-    /// identical with the flag on or off (and it is deliberately absent
-    /// from the campaign fingerprint, so journals stay interchangeable);
-    /// `true` by default.
+    /// under the `selection.skipped` telemetry counter. Both settings
+    /// run the same scope step, and verdicts are identical with the flag
+    /// on or off (it is deliberately absent from the campaign
+    /// fingerprint, so journals stay interchangeable); `true` by default.
     pub coverage_selection: bool,
     /// How [`run_mutation_analysis_parallel`] isolates its shards:
     /// threads (default) or supervised child processes. Verdicts are
@@ -456,121 +459,33 @@ impl MutationRun {
 pub(crate) struct GoldenBaseline {
     pub(crate) golden: SuiteResult,
     probes: Vec<SuiteResult>,
-    /// Case × feature coverage of the golden run, persisted alongside
-    /// the campaign journal for post-mortem inspection.
-    coverage: CoverageMatrix,
-    /// Per-feature filtered execution scopes (one per distinct mutated
-    /// method), built when [`MutationConfig::coverage_selection`] is on.
-    views: HashMap<String, FeatureView>,
+    /// Per mutated method, the case positions its mutants run.
+    scopes: HashMap<String, Scope>,
 }
 
-/// The filtered execution scope for mutants of one feature (interface
-/// method): the sub-suite of cases whose transactions statically invoke
-/// the method, with the matching slice of the golden results. Cases
-/// outside the view can never reach an armed site of the feature (the
-/// coverage contract), so running only the view yields the exact verdict
-/// of a full run while skipping `skipped` case executions per mutant.
-struct FeatureView {
-    suite: TestSuite,
-    golden: SuiteResult,
-    probes: Vec<TestSuite>,
-    probe_goldens: Vec<SuiteResult>,
-    /// Main-suite cases this view skips per mutant execution.
-    skipped: u64,
-    /// Cases skipped per probe suite, by probe index.
-    probe_skipped: Vec<u64>,
+/// The case positions mutants of one method run, in the main suite and
+/// in each probe suite: the cases whose transactions statically invoke
+/// the method under [`MutationConfig::coverage_selection`], every case
+/// otherwise. Cases left out can never reach an armed site of the method
+/// (the coverage contract), so running only the scope yields the exact
+/// verdict of a full run. Golden results are read by position, which is
+/// valid because the runner constructs a fresh component per case: a
+/// case's result does not depend on which other cases ran around it.
+struct Scope {
+    suite: Vec<usize>,
+    probes: Vec<Vec<usize>>,
 }
 
-/// Filters a golden [`SuiteResult`] down to the cases in `ids`. Valid
-/// because the runner constructs a fresh component per case: a case's
-/// result does not depend on which other cases ran around it.
-fn filter_golden(golden: &SuiteResult, ids: &BTreeSet<usize>) -> SuiteResult {
-    SuiteResult {
-        class_name: golden.class_name.clone(),
-        cases: golden
-            .cases
-            .iter()
-            .filter(|c| ids.contains(&c.case_id))
-            .cloned()
-            .collect(),
-        notes: golden.notes.clone(),
-    }
-}
-
-/// Builds the per-feature views for every distinct mutated method.
-fn build_feature_views(
-    suite: &TestSuite,
-    golden: &SuiteResult,
-    probes_in: &[TestSuite],
-    probe_goldens: &[SuiteResult],
-    coverage: &CoverageMatrix,
-    probe_coverage: &[CoverageMatrix],
-    mutants: &[Mutant],
-) -> HashMap<String, FeatureView> {
-    let features: BTreeSet<&str> = mutants.iter().map(|m| m.method()).collect();
-    let mut views = HashMap::new();
-    for feature in features {
-        let ids: BTreeSet<usize> = suite
-            .iter()
-            .filter(|c| coverage.covers(c.id, feature))
-            .map(|c| c.id)
-            .collect();
-        let id_list: Vec<usize> = ids.iter().copied().collect();
-        let mut view = FeatureView {
-            suite: suite.filtered(&id_list),
-            golden: filter_golden(golden, &ids),
-            probes: Vec::with_capacity(probes_in.len()),
-            probe_goldens: Vec::with_capacity(probes_in.len()),
-            skipped: (suite.len() - ids.len()) as u64,
-            probe_skipped: Vec::with_capacity(probes_in.len()),
-        };
-        for ((probe, probe_golden), matrix) in probes_in
-            .iter()
-            .zip(probe_goldens.iter())
-            .zip(probe_coverage.iter())
-        {
-            let probe_ids: BTreeSet<usize> = probe
-                .iter()
-                .filter(|c| matrix.covers(c.id, feature))
-                .map(|c| c.id)
-                .collect();
-            let probe_id_list: Vec<usize> = probe_ids.iter().copied().collect();
-            view.probe_skipped
-                .push((probe.len() - probe_ids.len()) as u64);
-            view.probes.push(probe.filtered(&probe_id_list));
-            view.probe_goldens
-                .push(filter_golden(probe_golden, &probe_ids));
-        }
-        views.insert(feature.to_owned(), view);
-    }
-    views
-}
-
-/// Case statuses of one golden run indexed by `case_id`, built once per
-/// suite so per-mutant classification stays O(cases) — the previous
-/// per-observed-case linear scan was O(cases²) per mutant, which the
-/// worker pool would have multiplied instead of hidden.
-struct StatusIndex<'a> {
-    by_case: HashMap<usize, &'a CaseStatus>,
-}
-
-impl<'a> StatusIndex<'a> {
-    fn of(suite: &'a SuiteResult) -> Self {
-        StatusIndex {
-            by_case: suite.cases.iter().map(|c| (c.case_id, &c.status)).collect(),
-        }
-    }
-
-    fn status(&self, id: usize) -> Option<&'a CaseStatus> {
-        self.by_case.get(&id).copied()
-    }
-}
-
-/// Status indexes of one feature view's golden slices, built once per
-/// engine so scoped classification stays O(cases).
-struct ViewIndexes<'a> {
-    golden: StatusIndex<'a>,
-    probes: Vec<StatusIndex<'a>>,
+/// What running one scope against its golden showed.
+#[derive(Debug, PartialEq, Eq)]
+enum ScopeOutcome {
+    /// A harness stop the golden run does not share (or too many
+    /// mutant-only crashes): no behavioural verdict.
+    Quarantined(QuarantineReason),
+    /// The first case whose transcript differs from the golden one.
+    Differs { by_case: usize, reason: KillReason },
+    /// Every case matched the golden run.
+    Same,
 }
 
 /// Read-only inputs every executor works from. Executors classify the
@@ -581,11 +496,6 @@ pub(crate) struct Engine<'a> {
     mutants: &'a [Mutant],
     config: &'a MutationConfig,
     baseline: &'a GoldenBaseline,
-    golden_index: StatusIndex<'a>,
-    probe_indexes: Vec<StatusIndex<'a>>,
-    /// Pre-built status indexes of every feature view's golden slices,
-    /// keyed like [`GoldenBaseline::views`].
-    view_indexes: HashMap<&'a str, ViewIndexes<'a>>,
 }
 
 /// One executor's harness: the component factory, the switch its
@@ -632,30 +542,7 @@ impl<'a> Engine<'a> {
             mutants,
             config,
             baseline,
-            golden_index: StatusIndex::of(&baseline.golden),
-            probe_indexes: baseline.probes.iter().map(StatusIndex::of).collect(),
-            view_indexes: baseline
-                .views
-                .iter()
-                .map(|(feature, view)| {
-                    (
-                        feature.as_str(),
-                        ViewIndexes {
-                            golden: StatusIndex::of(&view.golden),
-                            probes: view.probe_goldens.iter().map(StatusIndex::of).collect(),
-                        },
-                    )
-                })
-                .collect(),
         }
-    }
-
-    /// The feature view (and its status indexes) for `mutant`, when
-    /// coverage selection built one for its method.
-    fn view_of(&self, mutant: &Mutant) -> Option<(&'a FeatureView, &ViewIndexes<'a>)> {
-        let view = self.baseline.views.get(mutant.method())?;
-        let indexes = self.view_indexes.get(mutant.method())?;
-        Some((view, indexes))
     }
 
     /// The in-process lease loop every executor shares: classifies each
@@ -733,45 +620,19 @@ impl<'a> Engine<'a> {
     /// Runs one mutant through the suite (and, if it stays alive, the
     /// probe suites) and classifies it.
     fn classify(&self, harness: &Harness<'_>, mutant: &Mutant) -> MutantStatus {
-        let Harness {
-            factory,
-            switch,
-            runner,
-            telemetry,
-        } = *harness;
-        let mutant_span = telemetry.span_with("mutant", || mutant.to_string());
-        switch.arm(mutant.plan.clone());
-        // Coverage-matrix selection: mutants with a feature view execute
-        // only the cases that can reach the mutated method; the rest are
-        // statically identical to golden and skipped.
-        let scoped = self.view_of(mutant);
-        let (scope_suite, scope_golden, scope_index) = match scoped {
-            Some((view, indexes)) => (&view.suite, &view.golden, &indexes.golden),
-            None => (self.suite, &self.baseline.golden, &self.golden_index),
-        };
-        if let Some((view, _)) = scoped {
-            if view.skipped > 0 {
-                telemetry.incr_by("selection.skipped", view.skipped);
-            }
-        }
-        let observed = runner.run_suite_under(factory, scope_suite, mutant_span.id());
-        // Harness stops describe the execution environment, not the
-        // component's behaviour — quarantine before the kill classifier
-        // so a timed-out mutant is never miscounted as a crash kill.
-        let status = match quarantine_reason(
-            scope_index,
-            &observed,
-            self.config.crash_quarantine_threshold,
-        ) {
-            Some(reason) => MutantStatus::Quarantined { reason },
-            None => match first_difference(scope_golden, &observed) {
-                Some((case_id, reason)) => MutantStatus::Killed {
-                    reason,
-                    by_case: case_id,
-                },
-                None => self.probe(factory, runner, telemetry, mutant, mutant_span.id()),
-            },
-        };
+        let mutant_span = harness.telemetry.span_with("mutant", || mutant.to_string());
+        harness.switch.arm(mutant.plan.clone());
+        // Built by `run_golden` for every method of this engine's mutants.
+        let scope = &self.baseline.scopes[mutant.method()];
+        let golden = &self.baseline.golden;
+        let status =
+            match self.run_scope(harness, self.suite, golden, &scope.suite, mutant_span.id()) {
+                ScopeOutcome::Quarantined(reason) => MutantStatus::Quarantined { reason },
+                ScopeOutcome::Differs { by_case, reason } => {
+                    MutantStatus::Killed { reason, by_case }
+                }
+                ScopeOutcome::Same => self.probe(harness, mutant, scope, mutant_span.id()),
+            };
         mutant_span.finish();
         status
     }
@@ -784,53 +645,54 @@ impl<'a> Engine<'a> {
     /// mutant was misfiled as `Survived`.
     fn probe(
         &self,
-        factory: &dyn ComponentFactory,
-        runner: &TestRunner,
-        telemetry: &Telemetry,
+        harness: &Harness<'_>,
         mutant: &Mutant,
+        scope: &Scope,
         parent: SpanId,
     ) -> MutantStatus {
         // The probe phase gets its own span under the mutant, so the
         // attribution table can split first-suite time from re-attack
         // time.
-        let probe_span = telemetry.at(parent).span("probe", mutant.method());
-        let scoped = self.view_of(mutant);
-        let (probes, probe_goldens, probe_indexes, probe_skipped) = match scoped {
-            Some((view, indexes)) => (
-                view.probes.as_slice(),
-                view.probe_goldens.as_slice(),
-                indexes.probes.as_slice(),
-                Some(view.probe_skipped.as_slice()),
-            ),
-            None => (
-                self.config.probe_suites.as_slice(),
-                self.baseline.probes.as_slice(),
-                self.probe_indexes.as_slice(),
-                None,
-            ),
-        };
-        for (probe_pos, ((probe, probe_golden), probe_index)) in probes
-            .iter()
-            .zip(probe_goldens.iter())
-            .zip(probe_indexes.iter())
-            .enumerate()
-        {
-            if let Some(skipped) = probe_skipped.and_then(|s| s.get(probe_pos)) {
-                if *skipped > 0 {
-                    telemetry.incr_by("selection.skipped", *skipped);
-                }
-            }
-            let probed = runner.run_suite_under(factory, probe, probe_span.id());
-            if let Some(reason) =
-                quarantine_reason(probe_index, &probed, self.config.crash_quarantine_threshold)
-            {
-                return MutantStatus::Quarantined { reason };
-            }
-            if first_difference(probe_golden, &probed).is_some() {
-                return MutantStatus::Survived;
+        let probe_span = harness.telemetry.at(parent).span("probe", mutant.method());
+        let probes = self.config.probe_suites.iter().zip(&self.baseline.probes);
+        for ((probe, golden), positions) in probes.zip(&scope.probes) {
+            match self.run_scope(harness, probe, golden, positions, probe_span.id()) {
+                ScopeOutcome::Quarantined(reason) => return MutantStatus::Quarantined { reason },
+                ScopeOutcome::Differs { .. } => return MutantStatus::Survived,
+                ScopeOutcome::Same => {}
             }
         }
         MutantStatus::PresumedEquivalent
+    }
+
+    /// Runs the cases of `suite` at `positions` on the armed harness and
+    /// [`judge`]s them against the same positions of `golden`. Cases
+    /// outside the scope are counted under `selection.skipped` instead of
+    /// run.
+    fn run_scope(
+        &self,
+        harness: &Harness<'_>,
+        suite: &TestSuite,
+        golden: &SuiteResult,
+        positions: &[usize],
+        parent: SpanId,
+    ) -> ScopeOutcome {
+        let Harness {
+            factory,
+            runner,
+            telemetry,
+            ..
+        } = *harness;
+        let skipped = suite.len() - positions.len();
+        if skipped > 0 {
+            telemetry.incr_by("selection.skipped", skipped as u64);
+        }
+        let observed = runner.run_positions_under(factory, suite, positions, parent);
+        let golden_cases = positions.iter().map(|&pos| &golden.cases[pos]);
+        judge(
+            golden_cases.zip(&observed.cases),
+            self.config.crash_quarantine_threshold,
+        )
     }
 }
 
@@ -855,8 +717,7 @@ pub(crate) fn build_runner(
 }
 
 /// Runs the golden suite and golden probe suites (switch disarmed — the
-/// original program), records their case × feature coverage, and builds
-/// the per-feature views when coverage selection is enabled.
+/// original program) and fixes each mutated method's scope.
 pub(crate) fn run_golden(
     runner: &TestRunner,
     factory: &dyn ComponentFactory,
@@ -866,41 +727,54 @@ pub(crate) fn run_golden(
     telemetry: &Telemetry,
 ) -> GoldenBaseline {
     let golden_span = telemetry.span("golden", factory.class_name());
-    let (golden, coverage) = runner.run_suite_with_coverage_under(factory, suite, golden_span.id());
-    let mut probes = Vec::with_capacity(config.probe_suites.len());
-    let mut probe_coverage = Vec::with_capacity(config.probe_suites.len());
-    for probe in &config.probe_suites {
-        let (result, matrix) =
-            runner.run_suite_with_coverage_under(factory, probe, golden_span.id());
-        probes.push(result);
-        probe_coverage.push(matrix);
-    }
+    let golden = runner.run_suite_under(factory, suite, golden_span.id());
+    let probes = config
+        .probe_suites
+        .iter()
+        .map(|probe| runner.run_suite_under(factory, probe, golden_span.id()))
+        .collect();
     golden_span.finish();
-    let views = if config.coverage_selection {
-        build_feature_views(
-            suite,
-            &golden,
-            &config.probe_suites,
-            &probes,
-            &coverage,
-            &probe_coverage,
-            mutants,
-        )
-    } else {
-        HashMap::new()
+    let matrices: Vec<CoverageMatrix> = std::iter::once(suite)
+        .chain(&config.probe_suites)
+        .map(CoverageMatrix::from_suite)
+        .collect();
+    let positions = |suite: &TestSuite, matrix: &CoverageMatrix, method: &str| -> Vec<usize> {
+        let selected =
+            |case: &TestCase| !config.coverage_selection || matrix.covers(case.id, method);
+        suite
+            .iter()
+            .enumerate()
+            .filter(|(_, case)| selected(case))
+            .map(|(pos, _)| pos)
+            .collect()
     };
+    let methods: BTreeSet<&str> = mutants.iter().map(Mutant::method).collect();
+    let scopes = methods
+        .into_iter()
+        .map(|method| {
+            let scope = Scope {
+                suite: positions(suite, &matrices[0], method),
+                probes: config
+                    .probe_suites
+                    .iter()
+                    .zip(&matrices[1..])
+                    .map(|(probe, matrix)| positions(probe, matrix, method))
+                    .collect(),
+            };
+            (method.to_owned(), scope)
+        })
+        .collect();
     GoldenBaseline {
         golden,
         probes,
-        coverage,
-        views,
+        scopes,
     }
 }
 
-/// Persists the golden run's coverage matrix next to the campaign
-/// journal (`<journal>.coverage`), atomically, stamped with the campaign
-/// fingerprint (`campaign <fp>` first line) so a stale sidecar left by a
-/// previous campaign at the same path is detectable — see
+/// Persists the suite's case × feature coverage matrix next to the
+/// campaign journal (`<journal>.coverage`), atomically, stamped with the
+/// campaign fingerprint (`campaign <fp>` first line) so a stale sidecar
+/// left by a previous campaign at the same path is detectable — see
 /// [`load_campaign_coverage`]. Like every other durability consumer, a
 /// write failure degrades instead of aborting the campaign — but loudly:
 /// `harden.degraded` plus a dedicated `coverage.write_failed` counter
@@ -909,7 +783,7 @@ pub(crate) fn run_golden(
 /// missing `.coverage` file can't masquerade as a healthy run.
 pub(crate) fn persist_coverage(
     config: &MutationConfig,
-    baseline: &GoldenBaseline,
+    suite: &TestSuite,
     fingerprint: Option<u32>,
     telemetry: &Telemetry,
 ) {
@@ -921,7 +795,7 @@ pub(crate) fn persist_coverage(
         Some(fp) => format!("campaign {fp:08x}\n"),
         None => String::new(),
     };
-    text.push_str(&baseline.coverage.to_text());
+    text.push_str(&CoverageMatrix::from_suite(suite).to_text());
     if let Err(error) = write_atomic(&coverage_path, text.as_bytes()) {
         telemetry.incr("harden.degraded");
         telemetry.incr("coverage.write_failed");
@@ -1010,7 +884,7 @@ pub fn run_mutation_analysis(
     let runner = build_runner(config, telemetry, switch);
     switch.disarm();
     let baseline = run_golden(&runner, factory, suite, mutants, config, telemetry);
-    persist_coverage(config, &baseline, ledger.fingerprint(), telemetry);
+    persist_coverage(config, suite, ledger.fingerprint(), telemetry);
     let engine = Engine::new(suite, mutants, config, &baseline);
     let harness = Harness {
         factory,
@@ -1088,7 +962,7 @@ pub fn run_mutation_analysis_parallel(
         config,
         telemetry,
     );
-    persist_coverage(config, &baseline, ledger.fingerprint(), telemetry);
+    persist_coverage(config, suite, ledger.fingerprint(), telemetry);
     // The gauge reflects the configured pool for the whole campaign (not
     // the post-replay remainder), so a resumed run renders the same
     // harness-health row as the uninterrupted one.
@@ -1225,59 +1099,57 @@ fn lock(ledger: &Mutex<CampaignLedger>) -> MutexGuard<'_, CampaignLedger> {
     ledger.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Decides whether an observed run must be quarantined: any harness stop
-/// (deadline/budget) the golden run does not share, or — when a threshold
-/// is configured — enough mutant-only crashes to look
-/// environment-threatening. `golden` is the pre-built [`StatusIndex`] of
-/// the matching golden run.
-fn quarantine_reason(
-    golden: &StatusIndex<'_>,
-    observed: &SuiteResult,
+/// Judges a scope run from its `(golden, observed)` case pairs. Harness
+/// stops describe the execution environment, not the component's
+/// behaviour, so quarantine is decided before the kill classifier: a
+/// timed-out mutant is never miscounted as a crash kill.
+fn judge<'r>(
+    pairs: impl Iterator<Item = (&'r CaseResult, &'r CaseResult)> + Clone,
+    crash_threshold: Option<usize>,
+) -> ScopeOutcome {
+    match quarantine_reason(pairs.clone(), crash_threshold) {
+        Some(reason) => ScopeOutcome::Quarantined(reason),
+        None => match first_difference(pairs) {
+            Some((by_case, reason)) => ScopeOutcome::Differs { by_case, reason },
+            None => ScopeOutcome::Same,
+        },
+    }
+}
+
+/// Decides whether an observed run must be quarantined, from its
+/// `(golden, observed)` case pairs: any harness stop (deadline/budget)
+/// the golden case does not share, or — when a threshold is configured —
+/// enough mutant-only crashes to look environment-threatening. A harness
+/// stop outranks every crash, wherever it occurs in the run.
+fn quarantine_reason<'r>(
+    pairs: impl IntoIterator<Item = (&'r CaseResult, &'r CaseResult)>,
     crash_threshold: Option<usize>,
 ) -> Option<QuarantineReason> {
-    for case in &observed.cases {
-        match &case.status {
-            CaseStatus::DeadlineExceeded { .. }
-                if !matches!(
-                    golden.status(case.case_id),
-                    Some(CaseStatus::DeadlineExceeded { .. })
-                ) =>
-            {
-                return Some(QuarantineReason::Timeout);
-            }
-            CaseStatus::BudgetExhausted { .. }
-                if !matches!(
-                    golden.status(case.case_id),
-                    Some(CaseStatus::BudgetExhausted { .. })
-                ) =>
-            {
-                return Some(QuarantineReason::Budget);
-            }
+    let mut mutant_only_crashes = 0;
+    for (golden, observed) in pairs {
+        match (&observed.status, &golden.status) {
+            (CaseStatus::DeadlineExceeded { .. }, CaseStatus::DeadlineExceeded { .. })
+            | (CaseStatus::BudgetExhausted { .. }, CaseStatus::BudgetExhausted { .. })
+            | (CaseStatus::Panicked { .. }, CaseStatus::Panicked { .. }) => {}
+            (CaseStatus::DeadlineExceeded { .. }, _) => return Some(QuarantineReason::Timeout),
+            (CaseStatus::BudgetExhausted { .. }, _) => return Some(QuarantineReason::Budget),
+            (CaseStatus::Panicked { .. }, _) => mutant_only_crashes += 1,
             _ => {}
         }
     }
     let threshold = crash_threshold?;
-    let mutant_only_crashes = observed
-        .cases
-        .iter()
-        .filter(|c| {
-            matches!(c.status, CaseStatus::Panicked { .. })
-                && !matches!(golden.status(c.case_id), Some(CaseStatus::Panicked { .. }))
-        })
-        .count();
     (threshold > 0 && mutant_only_crashes >= threshold).then_some(QuarantineReason::RepeatedCrash)
 }
 
-/// Finds the first distinguishing case and derives the kill reason per the
-/// paper's three criteria. Stops at the first case whose transcript
-/// differs; no divergence is rendered.
-fn first_difference(golden: &SuiteResult, observed: &SuiteResult) -> Option<(usize, KillReason)> {
-    let (g, o) = golden
-        .cases
-        .iter()
-        .zip(&observed.cases)
+/// Finds the first distinguishing `(golden, observed)` case pair and
+/// derives the kill reason per the paper's three criteria. Stops at the
+/// first case whose transcript differs; no divergence is rendered.
+fn first_difference<'r>(
+    pairs: impl IntoIterator<Item = (&'r CaseResult, &'r CaseResult)>,
+) -> Option<(usize, KillReason)> {
+    let (g, o) = pairs
+        .into_iter()
         .find(|(g, o)| g.transcript != o.transcript)?;
-    let case_id = g.case_id;
     let reason = match (&o.status, &g.status) {
         (CaseStatus::Panicked { .. }, _) => KillReason::Crash,
         (CaseStatus::AssertionViolated { .. }, CaseStatus::AssertionViolated { .. }) => {
@@ -1288,7 +1160,7 @@ fn first_difference(golden: &SuiteResult, observed: &SuiteResult) -> Option<(usi
         (CaseStatus::AssertionViolated { .. }, _) => KillReason::Assertion,
         _ => KillReason::OutputDiff,
     };
-    Some((case_id, reason))
+    Some((g.case_id, reason))
 }
 
 /// Installs a silent panic hook and restores the previous hook on drop.
@@ -1326,7 +1198,7 @@ mod tests {
     use crate::fault::VarEnv;
     use crate::inventory::{ClassInventory, MethodInventory};
     use concat_bit::{BitControl, BuiltInTest, StateReport, TestableComponent};
-    use concat_driver::{MethodCall, SuiteStats, TestCase};
+    use concat_driver::{CallOutcome, MethodCall, SuiteStats, Transcript};
     use concat_runtime::{
         args, unknown_method, AssertionViolation, Component, InvokeResult, TestException, Value,
     };
@@ -1611,6 +1483,102 @@ mod tests {
         let expected =
             run.killed() as f64 / (run.total() - run.equivalent() - run.quarantined()) as f64;
         assert!((run.score() - expected).abs() < 1e-12);
+    }
+
+    /// A one-call case result whose transcript records `value`.
+    fn case_result(case_id: usize, status: CaseStatus, value: i64) -> CaseResult {
+        CaseResult {
+            case_id,
+            status,
+            transcript: Transcript {
+                records: vec![CallOutcome::Returned(Value::Int(value))],
+                final_report: None,
+            },
+        }
+    }
+
+    fn panicked() -> CaseStatus {
+        CaseStatus::Panicked {
+            message: "boom".into(),
+            at_call: 1,
+        }
+    }
+
+    #[test]
+    fn later_harness_stop_outranks_an_earlier_difference() {
+        let golden = [
+            case_result(3, CaseStatus::Passed, 1),
+            case_result(4, CaseStatus::Passed, 1),
+        ];
+        let observed = [
+            case_result(3, CaseStatus::Passed, 2),
+            case_result(4, CaseStatus::DeadlineExceeded { at_call: 1 }, 1),
+        ];
+        let pairs = golden.iter().zip(&observed);
+        assert_eq!(
+            first_difference(pairs.clone()),
+            Some((3, KillReason::OutputDiff))
+        );
+        assert_eq!(
+            quarantine_reason(pairs.clone(), None),
+            Some(QuarantineReason::Timeout)
+        );
+        assert_eq!(
+            judge(pairs, None),
+            ScopeOutcome::Quarantined(QuarantineReason::Timeout),
+            "a deadline stop at a later case quarantines instead of killing"
+        );
+    }
+
+    #[test]
+    fn harness_stops_the_golden_case_shares_do_not_quarantine() {
+        let budget = || CaseStatus::BudgetExhausted {
+            resource: concat_runtime::BudgetResource::Calls,
+            at_call: 1,
+        };
+        let golden = [
+            case_result(0, CaseStatus::DeadlineExceeded { at_call: 1 }, 1),
+            case_result(1, budget(), 1),
+        ];
+        let observed = [
+            case_result(0, CaseStatus::DeadlineExceeded { at_call: 1 }, 1),
+            case_result(1, budget(), 2),
+        ];
+        let pairs = golden.iter().zip(&observed);
+        assert_eq!(quarantine_reason(pairs.clone(), Some(1)), None);
+        assert_eq!(
+            judge(pairs, Some(1)),
+            ScopeOutcome::Differs {
+                by_case: 1,
+                reason: KillReason::OutputDiff
+            }
+        );
+    }
+
+    #[test]
+    fn crashes_the_golden_case_shares_do_not_count_toward_the_threshold() {
+        let golden = [
+            case_result(0, panicked(), 1),
+            case_result(1, CaseStatus::Passed, 1),
+        ];
+        let observed = [case_result(0, panicked(), 1), case_result(1, panicked(), 2)];
+        let pairs = golden.iter().zip(&observed);
+        // One mutant-only crash: case 0 crashes in the golden run too.
+        assert_eq!(quarantine_reason(pairs.clone(), Some(2)), None);
+        assert_eq!(
+            judge(pairs.clone(), Some(2)),
+            ScopeOutcome::Differs {
+                by_case: 1,
+                reason: KillReason::Crash
+            }
+        );
+        assert_eq!(
+            judge(pairs.clone(), Some(1)),
+            ScopeOutcome::Quarantined(QuarantineReason::RepeatedCrash)
+        );
+        // No threshold, or a zero one, keeps every crash a kill.
+        assert_eq!(quarantine_reason(pairs.clone(), None), None);
+        assert_eq!(quarantine_reason(pairs, Some(0)), None);
     }
 
     #[test]

@@ -841,7 +841,7 @@ impl Supervisor {
             id.0,
             &scoped,
         );
-        persist_coverage(&data.config, &baseline, ledger.fingerprint(), &scoped);
+        persist_coverage(&data.config, &data.suite, ledger.fingerprint(), &scoped);
         if ledger.replayed() > 0 {
             self.config.telemetry.incr("orchestrator.resumed");
         }

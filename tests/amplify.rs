@@ -179,60 +179,73 @@ fn amplification_replays_byte_identically_from_journals() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn coblist_run(coverage_selection: bool, sink: &Arc<MemorySink>) -> MutationRun {
+/// A CObList campaign over the first `cases` cases of the generated
+/// suite, with two probe suites and a one-crash quarantine threshold, so
+/// the probe scopes and the crash count of the quarantine check run under
+/// coverage selection on and off. Also returns the campaign's main-suite
+/// case executions without selection.
+fn coblist_run(
+    coverage_selection: bool,
+    cases: usize,
+    sink: &Arc<MemorySink>,
+) -> (MutationRun, u64) {
     let bundle = coblist_bundle();
     let consumer = small_consumer(7).with_telemetry(Telemetry::new(sink.clone()));
-    let suite = consumer.generate(&bundle).unwrap();
+    let suite = thin_suite(&consumer, &bundle, cases);
+    let probe_suites = [8, 9]
+        .map(|seed| small_consumer(seed).generate(&bundle).unwrap())
+        .to_vec();
     let targets = ["AddHead", "RemoveAt", "RemoveHead"];
     let mutants = enumerate_mutants(bundle.inventory().unwrap(), &targets);
     let config = MutationConfig {
+        probe_suites,
         silence_panics: true,
         telemetry: consumer.telemetry().clone(),
+        crash_quarantine_threshold: Some(1),
         coverage_selection,
         ..MutationConfig::default()
     };
-    run_mutation_analysis(
+    let run = run_mutation_analysis(
         bundle.factory(),
         bundle.switch().unwrap(),
         &suite,
         &mutants,
         &config,
-    )
+    );
+    (run, (suite.len() * mutants.len()) as u64)
 }
 
 #[test]
 fn coverage_selection_skips_executions_without_changing_verdicts() {
-    let sink_on = Arc::new(MemorySink::new());
-    let sink_off = Arc::new(MemorySink::new());
-    let selected = coblist_run(true, &sink_on);
-    let full = coblist_run(false, &sink_off);
-    // Zero verdict change: the fast path is an optimization, not an
-    // approximation.
-    assert_eq!(selected.results, full.results);
-    assert_eq!(selected.score(), full.score());
-    let skipped = Summary::from_events(&sink_on.events())
-        .counters
-        .get("selection.skipped")
-        .copied()
-        .unwrap_or(0);
-    let total_mutant_executions: u64 = {
-        let bundle = coblist_bundle();
-        let suite = small_consumer(7).generate(&bundle).unwrap();
-        let mutants = enumerate_mutants(
-            bundle.inventory().unwrap(),
-            &["AddHead", "RemoveAt", "RemoveHead"],
+    // The whole suite kills all but the equivalents; a three-case one
+    // leaves survivors that only the probe suites distinguish.
+    for cases in [usize::MAX, 3] {
+        let sink_on = Arc::new(MemorySink::new());
+        let sink_off = Arc::new(MemorySink::new());
+        let (selected, total_mutant_executions) = coblist_run(true, cases, &sink_on);
+        let (full, _) = coblist_run(false, cases, &sink_off);
+        // Zero verdict change: the fast path is an optimization, not an
+        // approximation.
+        assert_eq!(selected.results, full.results, "{cases} cases");
+        assert_eq!(selected.score(), full.score(), "{cases} cases");
+        if cases == 3 {
+            assert!(full.survived() > 0, "no probe distinguished a survivor");
+        }
+        let skipped = Summary::from_events(&sink_on.events())
+            .counters
+            .get("selection.skipped")
+            .copied()
+            .unwrap_or(0);
+        assert!(
+            skipped * 5 >= total_mutant_executions,
+            "selection skipped {skipped} of {total_mutant_executions} mutant-phase \
+             case executions (< 20%)"
         );
-        (suite.len() * mutants.len()) as u64
-    };
-    assert!(
-        skipped * 5 >= total_mutant_executions,
-        "selection skipped {skipped} of {total_mutant_executions} mutant-phase \
-         case executions (< 20%)"
-    );
-    let off_summary = Summary::from_events(&sink_off.events());
-    assert_eq!(
-        off_summary.counters.get("selection.skipped"),
-        None,
-        "the disabled fast path must not skip anything"
-    );
+        let off_summary = Summary::from_events(&sink_off.events());
+        assert_eq!(
+            off_summary.counters.get("selection.skipped"),
+            None,
+            "the disabled fast path must not skip anything"
+        );
+    }
 }
