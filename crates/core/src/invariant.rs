@@ -23,7 +23,10 @@ use concat_driver::{
     execute_sequence, generate_walk, load_sequence, save_sequence, shrink_sequence, FailureKind,
     InvariantBreaker, InvariantSummary, WalkConfig, WalkSequence,
 };
-use concat_runtime::{crc32, recover_journal, CancelToken, CorpusStore, Journal, Watchdog};
+use concat_runtime::{
+    crc32, escape_field, open_headered, unescape_field, CancelToken, CorpusStore, Fields, Headered,
+    Journal, Watchdog,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -57,13 +60,18 @@ impl InvariantCampaign {
     }
 }
 
-/// Result of one journaled walk, replayed on resume instead of
-/// re-executed.
-struct JournaledWalk {
-    calls: u64,
-    checks: u64,
-    failure: Option<FailureKind>,
-    shrunk: Option<WalkSequence>,
+/// One finished walk as the campaign journal records it, replayed on
+/// resume instead of re-executed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalkRecord {
+    /// Index of the walk in the campaign.
+    pub index: usize,
+    /// Steps the walk executed.
+    pub calls: u64,
+    /// Invariant and clause evaluations it performed.
+    pub checks: u64,
+    /// Why a failing walk failed, and its shrunk reproducer.
+    pub breaker: Option<(FailureKind, WalkSequence)>,
 }
 
 impl Consumer {
@@ -133,17 +141,15 @@ impl Consumer {
         });
 
         let fingerprint = campaign_fingerprint(&class, config);
-        let mut journaled: BTreeMap<usize, JournaledWalk> = BTreeMap::new();
-        let mut journal: Option<Journal> = None;
-        if let Some(path) = self.journal() {
-            match resume_journal(path, fingerprint) {
-                Ok((j, walks)) => {
-                    journal = Some(j);
-                    journaled = walks;
+        let (mut journal, mut journaled) =
+            match self.journal().map(|path| resume_journal(path, fingerprint)) {
+                Some(Ok((journal, walks))) => (Some(journal), walks),
+                Some(Err(_)) => {
+                    telemetry.incr("harden.degraded");
+                    (None, BTreeMap::new())
                 }
-                Err(_) => telemetry.incr("harden.degraded"),
-            }
-        }
+                None => (None, BTreeMap::new()),
+            };
 
         let mut summary = InvariantSummary {
             class_name: class.clone(),
@@ -219,82 +225,66 @@ impl Consumer {
             if summary.stopped {
                 break;
             }
-            if let Some(done) = journaled.get(&index) {
-                summary.walks += 1;
-                summary.calls += done.calls;
-                summary.checks += done.checks;
-                if let Some(kind) = &done.failure {
-                    summary.failures += 1;
-                    if let Some(shrunk) = &done.shrunk {
-                        summary.original_calls += done.calls;
-                        summary.shrunk_calls += shrunk.call_count() as u64;
-                        breakers.push(InvariantBreaker {
-                            walk: Some(index),
-                            from_corpus: false,
-                            failure: kind.clone(),
-                            original_calls: done.calls as usize,
-                            shrunk: shrunk.clone(),
-                        });
-                    }
+            let record = match journaled.remove(&index) {
+                Some(done) => {
+                    transcripts.push(format!("walk {index} replayed from journal\n"));
+                    done
                 }
-                transcripts.push(format!("walk {index} replayed from journal\n"));
-                continue;
-            }
-            if token.is_cancelled() || over_call_budget(&budget, session_calls) {
-                summary.stopped = true;
-                break;
-            }
-
-            let seq = generate_walk(spec, config, config.walk_seed(index));
-            let span = scoped.span("walk", &format!("w{index}"));
-            let outcome = execute_sequence(component.factory(), spec, &seq, &ctl, Some(&token));
-            if outcome.interrupted {
-                // Never journaled: the resumed campaign re-executes this
-                // walk from its derived seed, byte-identically.
-                span.finish();
-                summary.stopped = true;
-                break;
-            }
+                None => {
+                    if token.is_cancelled() || over_call_budget(&budget, session_calls) {
+                        summary.stopped = true;
+                        break;
+                    }
+                    let seq = generate_walk(spec, config, config.walk_seed(index));
+                    let span = scoped.span("walk", &format!("w{index}"));
+                    let outcome =
+                        execute_sequence(component.factory(), spec, &seq, &ctl, Some(&token));
+                    if outcome.interrupted {
+                        // Never journaled: the resumed campaign re-executes
+                        // this walk from its derived seed, byte-identically.
+                        span.finish();
+                        summary.stopped = true;
+                        break;
+                    }
+                    session_calls += outcome.executed_steps as u64;
+                    telemetry.incr("invariant.walks");
+                    telemetry.incr_by("invariant.calls", outcome.executed_steps as u64);
+                    telemetry.incr_by("invariant.checks", outcome.checks);
+                    transcripts.push(outcome.transcript);
+                    let breaker = outcome.failure.map(|found| {
+                        telemetry.incr("invariant.failures");
+                        let shrunk = shrink_sequence(component.factory(), spec, &seq, &ctl);
+                        (found.kind, shrunk)
+                    });
+                    span.finish();
+                    let record = WalkRecord {
+                        index,
+                        calls: outcome.executed_steps as u64,
+                        checks: outcome.checks,
+                        breaker,
+                    };
+                    if let Some(j) = journal.as_mut() {
+                        if j.append(&record.encode()).is_err() {
+                            telemetry.incr("harden.degraded");
+                        }
+                    }
+                    record
+                }
+            };
             summary.walks += 1;
-            summary.calls += outcome.executed_steps as u64;
-            summary.checks += outcome.checks;
-            session_calls += outcome.executed_steps as u64;
-            telemetry.incr("invariant.walks");
-            telemetry.incr_by("invariant.calls", outcome.executed_steps as u64);
-            telemetry.incr_by("invariant.checks", outcome.checks);
-            transcripts.push(outcome.transcript);
-
-            let mut failure_kind: Option<FailureKind> = None;
-            let mut shrunk_text: Option<String> = None;
-            if let Some(found) = outcome.failure {
-                telemetry.incr("invariant.failures");
+            summary.calls += record.calls;
+            summary.checks += record.checks;
+            if let Some((failure, shrunk)) = record.breaker {
                 summary.failures += 1;
-                let shrunk = shrink_sequence(component.factory(), spec, &seq, &ctl);
-                summary.original_calls += outcome.executed_steps as u64;
+                summary.original_calls += record.calls;
                 summary.shrunk_calls += shrunk.call_count() as u64;
-                failure_kind = Some(found.kind.clone());
-                shrunk_text = Some(save_sequence(&shrunk));
                 breakers.push(InvariantBreaker {
                     walk: Some(index),
                     from_corpus: false,
-                    failure: found.kind,
-                    original_calls: outcome.executed_steps,
+                    failure,
+                    original_calls: record.calls as usize,
                     shrunk,
                 });
-            }
-            span.finish();
-
-            if let Some(j) = journal.as_mut() {
-                let record = encode_walk_record(
-                    index,
-                    outcome.executed_steps as u64,
-                    outcome.checks,
-                    failure_kind.as_ref(),
-                    shrunk_text.as_deref(),
-                );
-                if j.append(&record).is_err() {
-                    telemetry.incr("harden.degraded");
-                }
             }
         }
 
@@ -360,60 +350,24 @@ fn journal_header(fingerprint: u32) -> String {
 
 /// Opens (or creates) the campaign journal. A header matching this
 /// campaign's fingerprint replays the recorded walks; anything else —
-/// missing file, torn tail, another campaign's header — resets the
-/// journal to a fresh header.
+/// missing file, another campaign's header — replaces the journal with a
+/// fresh header.
 fn resume_journal(
     path: &Path,
     fingerprint: u32,
-) -> std::io::Result<(Journal, BTreeMap<usize, JournaledWalk>)> {
-    let (mut journal, scan) = recover_journal(path)?;
+) -> std::io::Result<(Journal, BTreeMap<usize, WalkRecord>)> {
     let header = journal_header(fingerprint);
-    if scan.records.first() == Some(&header) {
-        let mut walks = BTreeMap::new();
-        for record in &scan.records[1..] {
-            if let Some((index, walk)) = decode_walk_record(record) {
-                walks.insert(index, walk);
-            }
+    Ok(match open_headered(path, &header)? {
+        Headered::Matched(journal, records) => {
+            let walks = records
+                .iter()
+                .filter_map(|record| WalkRecord::decode(record))
+                .map(|walk| (walk.index, walk))
+                .collect();
+            (journal, walks)
         }
-        Ok((journal, walks))
-    } else {
-        journal.clear()?;
-        journal.append(&header)?;
-        Ok((journal, BTreeMap::new()))
-    }
-}
-
-/// Escapes a payload into the single-line, tab-free form journal fields
-/// require: `\` → `\\`, newline → `\n`, tab → `\t`.
-fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape_field(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            't' => out.push('\t'),
-            _ => return None,
-        }
-    }
-    Some(out)
+        Headered::Foreign(_) => (Journal::rewrite(path, &[header])?, BTreeMap::new()),
+    })
 }
 
 fn encode_failure(kind: &FailureKind) -> String {
@@ -435,55 +389,47 @@ fn decode_failure(text: &str) -> Option<FailureKind> {
     })
 }
 
-/// One journal record per finished walk, tab-separated:
-/// `walk <index> <calls> <checks> <failure|-> <shrunk|->`.
-fn encode_walk_record(
-    index: usize,
-    calls: u64,
-    checks: u64,
-    failure: Option<&FailureKind>,
-    shrunk: Option<&str>,
-) -> String {
-    let failure_field = failure.map_or_else(|| "-".to_owned(), encode_failure);
-    let shrunk_field = shrunk.map_or_else(|| "-".to_owned(), escape_field);
-    format!("walk\t{index}\t{calls}\t{checks}\t{failure_field}\t{shrunk_field}")
-}
+impl WalkRecord {
+    /// The journal record, tab-separated:
+    /// `walk <index> <calls> <checks> <failure|-> <shrunk|->`.
+    pub fn encode(&self) -> String {
+        let (failure, shrunk) = match &self.breaker {
+            Some((kind, seq)) => (encode_failure(kind), escape_field(&save_sequence(seq))),
+            None => ("-".to_owned(), "-".to_owned()),
+        };
+        format!(
+            "walk\t{}\t{}\t{}\t{failure}\t{shrunk}",
+            self.index, self.calls, self.checks
+        )
+    }
 
-/// Decodes one walk record; `None` drops the record, making the walk
-/// re-execute (deterministically) instead of poisoning the resume.
-fn decode_walk_record(record: &str) -> Option<(usize, JournaledWalk)> {
-    let mut fields = record.splitn(6, '\t');
-    if fields.next()? != "walk" {
-        return None;
-    }
-    let index: usize = fields.next()?.parse().ok()?;
-    let calls: u64 = fields.next()?.parse().ok()?;
-    let checks: u64 = fields.next()?.parse().ok()?;
-    let failure_field = fields.next()?;
-    let shrunk_field = fields.next()?;
-    let failure = if failure_field == "-" {
-        None
-    } else {
-        Some(decode_failure(failure_field)?)
-    };
-    let shrunk = if shrunk_field == "-" {
-        None
-    } else {
-        let text = unescape_field(shrunk_field)?;
-        Some(load_sequence(&text).ok()?)
-    };
-    if failure.is_some() != shrunk.is_some() {
-        return None;
-    }
-    Some((
-        index,
-        JournaledWalk {
+    /// Decodes a walk record; `None` for anything [`WalkRecord::encode`]
+    /// would not write, which makes the walk re-execute
+    /// (deterministically) instead of poisoning the resume.
+    pub fn decode(record: &str) -> Option<WalkRecord> {
+        let mut fields = Fields::new(record, '\t');
+        fields.expect("walk")?;
+        let (index, calls, checks) = (fields.dec()?, fields.dec()?, fields.dec()?);
+        let breaker = match (fields.word()?, fields.word()?) {
+            ("-", "-") => None,
+            ("-", _) | (_, "-") => return None,
+            (failure, shrunk) => {
+                let text = unescape_field(shrunk)?;
+                let seq = load_sequence(&text).ok()?;
+                // Sequence text is human-editable; only the form
+                // `save_sequence` writes is a canonical record.
+                (save_sequence(&seq) == text).then_some(())?;
+                Some((decode_failure(failure)?, seq))
+            }
+        };
+        fields.end()?;
+        Some(WalkRecord {
+            index,
             calls,
             checks,
-            failure,
-            shrunk,
-        },
-    ))
+            breaker,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -493,7 +439,7 @@ mod tests {
     use crate::consumer::Consumer;
     use concat_components::{sortable_spec, CSortableObListFactory};
     use concat_obs::{MemorySink, Telemetry};
-    use concat_runtime::Budget;
+    use concat_runtime::{recover_journal, Budget};
     use std::rc::Rc;
     use std::sync::Arc;
     use std::time::Duration;
@@ -619,52 +565,6 @@ mod tests {
         let baseline = Consumer::new().invariant_campaign(&bundle, &config);
         assert_eq!(resumed.summary, baseline.summary);
         let _ = std::fs::remove_file(&journal);
-    }
-
-    #[test]
-    fn walk_records_round_trip() {
-        let kinds = [
-            None,
-            Some(FailureKind::Invariant {
-                message: "cached\tlen\ndrifted \\ badly".to_owned(),
-            }),
-            Some(FailureKind::SpecClause {
-                id: "i1".to_owned(),
-            }),
-            Some(FailureKind::Panic {
-                message: "boom".to_owned(),
-            }),
-        ];
-        let bundle = bundle();
-        let seq = generate_walk(bundle.spec(), &small_config(), 99);
-        let text = save_sequence(&seq);
-        for (i, kind) in kinds.iter().enumerate() {
-            let shrunk = kind.as_ref().map(|_| text.as_str());
-            let record = encode_walk_record(i, 17, 34, kind.as_ref(), shrunk);
-            assert!(!record.contains('\n'), "records must be single-line");
-            let (index, walk) = decode_walk_record(&record).expect("round trip");
-            assert_eq!(index, i);
-            assert_eq!(walk.calls, 17);
-            assert_eq!(walk.checks, 34);
-            assert_eq!(walk.failure.as_ref(), kind.as_ref());
-            assert_eq!(walk.shrunk.is_some(), kind.is_some());
-            if let Some(s) = &walk.shrunk {
-                assert_eq!(save_sequence(s), text);
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_walk_records_are_dropped() {
-        for bad in [
-            "walk\tx\t1\t2\t-\t-",
-            "walk\t0\t1\t2\tweird:oops\t-",
-            "walk\t0\t1\t2\t-",
-            "walk\t0\t1\t2\tclause:i1\t-", // failure without reproducer
-            "mutant\t0\tkilled",
-        ] {
-            assert!(decode_walk_record(bad).is_none(), "{bad}");
-        }
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use assess::{assess, TestabilityReport};
 pub use bundle::{SelfTestable, SelfTestableBuilder};
 pub use consumer::{Consumer, ConsumerError, PersistedSession, SelfTestReport};
 pub use interclass::{CompositeFactory, CompositeSpec, CompositeSpecBuilder, Role};
-pub use invariant::InvariantCampaign;
+pub use invariant::{InvariantCampaign, WalkRecord};
 pub use producer::{PackagingError, Producer};
 pub use regression::{record_baseline, regression_check, RegressionFinding, RegressionReport};

@@ -10,8 +10,9 @@
 //! uses it to skip statically unreachable cases, and the test amplifier
 //! uses it to aim candidate synthesis at surviving features.
 
-use crate::persist::PersistError;
+use crate::persist::{perr, PersistError};
 use crate::testcase::TestSuite;
+use concat_runtime::Fields;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -104,42 +105,31 @@ impl CoverageMatrix {
         out
     }
 
-    /// Parses the [`CoverageMatrix::to_text`] format.
+    /// Parses the [`CoverageMatrix::to_text`] format. Only the exact text
+    /// `to_text` writes is accepted: rows and methods in order, once
+    /// each, canonical case ids, every line newline-terminated.
     ///
     /// # Errors
     ///
     /// [`PersistError`] with the 1-based offending line on malformed
     /// headers, rows, or case ids.
     pub fn from_text(text: &str) -> Result<Self, PersistError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| perr(1, "empty coverage text"))?;
+        let mut lines = text.lines().zip(1..);
+        let (header, _) = lines.next().ok_or_else(|| perr(1, "empty coverage text"))?;
         let class_name = header
             .strip_prefix("coverage ")
             .ok_or_else(|| perr(1, "expected `coverage <class>` header"))?;
         let mut matrix = CoverageMatrix::new(class_name);
-        for (index, line) in lines {
-            let line_no = index + 1;
-            if line.is_empty() {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("case ")
+        for (line, line_no) in lines {
+            let mut fields = Fields::new(line, ' ');
+            let id = (fields.expect("case").and_then(|()| fields.dec()))
                 .ok_or_else(|| perr(line_no, "expected `case <id> <methods…>`"))?;
-            let mut fields = rest.split(' ');
-            let id: usize = fields
-                .next()
-                .and_then(|f| f.parse().ok())
-                .ok_or_else(|| perr(line_no, "case id is not a number"))?;
-            matrix.record(id, fields.map(str::to_owned));
+            matrix.record(id, std::iter::from_fn(|| fields.word().map(str::to_owned)));
+        }
+        if matrix.to_text() != text {
+            return Err(perr(1, "coverage text is not in the form `to_text` writes"));
         }
         Ok(matrix)
-    }
-}
-
-fn perr(line: usize, message: impl Into<String>) -> PersistError {
-    PersistError {
-        line,
-        message: message.into(),
     }
 }
 

@@ -20,11 +20,11 @@
 //! and the same shrunk reproducer on every run.
 
 use crate::inputs::InputGenerator;
-use crate::persist::PersistError;
+use crate::persist::{keyed_lines, parse_call, perr, write_call, PersistError};
 use crate::runner::{guarded, Guarded};
 use crate::testcase::{ArgOrigin, MethodCall, TestCase};
 use concat_bit::{BitControl, ComponentFactory};
-use concat_runtime::{crc32, parse_value_literal, CancelToken, Rng, Value};
+use concat_runtime::{crc32, CancelToken, Rng, Value};
 use concat_tfm::{NodeKind, WalkPolicy};
 use concat_tspec::{ClassSpec, MethodCategory, MethodSpec};
 use std::fmt;
@@ -99,6 +99,11 @@ pub enum StepKind {
     /// Invoke a task/death-node method on the live object.
     Invoke,
 }
+
+concat_runtime::keyword_table!(StepKind {
+    Construct => "c",
+    Invoke => "i",
+});
 
 /// One step of a walk: which object slot, what call, at which TFM node.
 #[derive(Debug, Clone, PartialEq)]
@@ -630,40 +635,11 @@ pub fn save_sequence(seq: &WalkSequence) -> String {
     let _ = writeln!(out, "walk {}", seq.class_name);
     let _ = writeln!(out, "seed {}", seq.seed);
     for s in &seq.steps {
-        let kind = match s.kind {
-            StepKind::Construct => 'c',
-            StepKind::Invoke => 'i',
-        };
-        let origins: String = if s.call.origins.is_empty() {
-            "-".into()
-        } else {
-            s.call
-                .origins
-                .iter()
-                .map(|o| match o {
-                    ArgOrigin::Generated => 'g',
-                    ArgOrigin::Boundary => 'b',
-                    ArgOrigin::Provided => 'p',
-                    ArgOrigin::Manual => 'm',
-                })
-                .collect()
-        };
-        let args = Value::List(s.call.args.clone()).to_literal();
-        let _ = writeln!(
-            out,
-            "step {} {kind} {} {} {} {origins} {args}",
-            s.object, s.node, s.call.method_id, s.call.method
-        );
+        let _ = write!(out, "step {} {} {}", s.object, s.kind.keyword(), s.node);
+        write_call(&mut out, &s.call);
     }
     let _ = writeln!(out, "end");
     out
-}
-
-fn serr(line: usize, message: impl Into<String>) -> PersistError {
-    PersistError {
-        line,
-        message: message.into(),
-    }
 }
 
 /// Parses the [`save_sequence`] form back; `save_sequence(load_sequence(t))
@@ -673,103 +649,38 @@ pub fn load_sequence(text: &str) -> Result<WalkSequence, PersistError> {
     let mut seed = 0u64;
     let mut steps: Vec<WalkStep> = Vec::new();
     let mut ended = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
+    for (line_no, keyword, rest) in keyed_lines(text) {
         if ended {
-            return Err(serr(line_no, "content after `end`"));
+            return Err(perr(line_no, "content after `end`"));
         }
-        let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
         match keyword {
-            "walk" => {
-                if rest.is_empty() {
-                    return Err(serr(line_no, "walk needs a class name"));
-                }
-                class_name = Some(rest.to_owned());
-            }
-            "seed" => {
-                seed = rest
-                    .parse()
-                    .map_err(|_| serr(line_no, "seed must be an integer"))?;
-            }
+            "walk" if rest.is_empty() => return Err(perr(line_no, "walk needs a class name")),
+            "walk" => class_name = Some(rest.to_owned()),
+            "seed" => seed = rest.parse().map_err(|_| perr(line_no, "bad seed"))?,
             "step" => {
-                let mut parts = rest.splitn(7, ' ');
-                let object = parts.next();
-                let kind = parts.next();
-                let node = parts.next();
-                let method_id = parts.next();
-                let method = parts.next();
-                let origins = parts.next();
-                let args = parts.next();
-                let (
-                    Some(object),
-                    Some(kind),
-                    Some(node),
-                    Some(method_id),
-                    Some(method),
-                    Some(origins),
-                    Some(args),
-                ) = (object, kind, node, method_id, method, origins, args)
+                let mut parts = rest.splitn(4, ' ');
+                let (Some(object), Some(kind), Some(node), Some(call)) =
+                    (parts.next(), parts.next(), parts.next(), parts.next())
                 else {
-                    return Err(serr(
-                        line_no,
-                        "step needs: <obj> <c|i> <node> <id> <name> <origins> <args>",
-                    ));
+                    return Err(perr(line_no, "step needs: <obj> <c|i> <node> <call>"));
                 };
-                let object: usize = object
-                    .parse()
-                    .map_err(|_| serr(line_no, "object must be an integer"))?;
-                let kind = match kind {
-                    "c" => StepKind::Construct,
-                    "i" => StepKind::Invoke,
-                    other => return Err(serr(line_no, format!("unknown step kind `{other}`"))),
-                };
-                let args = match parse_value_literal(args) {
-                    Ok(Value::List(items)) => items,
-                    Ok(_) => return Err(serr(line_no, "arguments must be a list literal")),
-                    Err(e) => return Err(serr(line_no, e.to_string())),
-                };
-                let origins: Vec<ArgOrigin> = if origins == "-" {
-                    Vec::new()
-                } else {
-                    origins
-                        .chars()
-                        .map(|c| match c {
-                            'g' => Ok(ArgOrigin::Generated),
-                            'b' => Ok(ArgOrigin::Boundary),
-                            'p' => Ok(ArgOrigin::Provided),
-                            'm' => Ok(ArgOrigin::Manual),
-                            other => Err(serr(line_no, format!("unknown origin code `{other}`"))),
-                        })
-                        .collect::<Result<_, _>>()?
-                };
-                if origins.len() != args.len() {
-                    return Err(serr(line_no, "origin count differs from argument count"));
-                }
                 steps.push(WalkStep {
-                    object,
-                    kind,
+                    object: object.parse().map_err(|_| perr(line_no, "bad object"))?,
+                    kind: StepKind::from_keyword(kind)
+                        .ok_or_else(|| perr(line_no, format!("unknown step kind `{kind}`")))?,
                     node: node.to_owned(),
-                    call: MethodCall {
-                        method_id: method_id.to_owned(),
-                        method: method.to_owned(),
-                        args,
-                        origins,
-                    },
+                    call: parse_call(call, line_no)?,
                 });
             }
             "end" => ended = true,
-            other => return Err(serr(line_no, format!("unknown keyword `{other}`"))),
+            other => return Err(perr(line_no, format!("unknown keyword `{other}`"))),
         }
     }
     let Some(class_name) = class_name else {
-        return Err(serr(1, "missing `walk <class>` header"));
+        return Err(perr(1, "missing `walk <class>` header"));
     };
     if !ended {
-        return Err(serr(text.lines().count().max(1), "missing `end`"));
+        return Err(perr(text.lines().count().max(1), "missing `end`"));
     }
     Ok(WalkSequence {
         class_name,

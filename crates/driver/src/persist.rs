@@ -51,47 +51,37 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-fn perr(line: usize, message: impl Into<String>) -> PersistError {
+pub(crate) fn perr(line: usize, message: impl Into<String>) -> PersistError {
     PersistError {
         line,
         message: message.into(),
     }
 }
 
-fn origin_code(o: ArgOrigin) -> char {
-    match o {
-        ArgOrigin::Generated => 'g',
-        ArgOrigin::Boundary => 'b',
-        ArgOrigin::Provided => 'p',
-        ArgOrigin::Manual => 'm',
-    }
+/// The non-blank lines of persisted text, trimmed and split at the first
+/// space: `(1-based line number, keyword, rest)`.
+pub(crate) fn keyed_lines(text: &str) -> impl Iterator<Item = (usize, &str, &str)> {
+    text.lines().zip(1..).filter_map(|(raw, line_no)| {
+        let line = raw.trim();
+        let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+        (!line.is_empty()).then_some((line_no, keyword, rest))
+    })
 }
 
-fn origin_from(c: char, line: usize) -> Result<ArgOrigin, PersistError> {
-    match c {
-        'g' => Ok(ArgOrigin::Generated),
-        'b' => Ok(ArgOrigin::Boundary),
-        'p' => Ok(ArgOrigin::Provided),
-        'm' => Ok(ArgOrigin::Manual),
-        other => Err(perr(line, format!("unknown origin code `{other}`"))),
-    }
-}
-
-fn write_call(out: &mut String, keyword: &str, call: &MethodCall) {
+/// Writes the call part of a suite or walk-sequence line after its
+/// keyword: ` <id> <name> <origins> <args>` and the newline.
+pub(crate) fn write_call(out: &mut String, call: &MethodCall) {
     let origins: String = if call.origins.is_empty() {
         "-".into()
     } else {
-        call.origins.iter().map(|o| origin_code(*o)).collect()
+        call.origins.iter().map(|o| o.keyword()).collect()
     };
     let args = Value::List(call.args.clone()).to_literal();
-    let _ = writeln!(
-        out,
-        "{keyword} {} {} {origins} {args}",
-        call.method_id, call.method
-    );
+    let _ = writeln!(out, " {} {} {origins} {args}", call.method_id, call.method);
 }
 
-fn parse_call(rest: &str, line: usize) -> Result<MethodCall, PersistError> {
+/// Parses what [`write_call`] writes (without its leading space).
+pub(crate) fn parse_call(rest: &str, line: usize) -> Result<MethodCall, PersistError> {
     let mut parts = rest.splitn(4, ' ');
     let method_id = parts.next().filter(|s| !s.is_empty());
     let method = parts.next();
@@ -112,7 +102,10 @@ fn parse_call(rest: &str, line: usize) -> Result<MethodCall, PersistError> {
     } else {
         origins
             .chars()
-            .map(|c| origin_from(c, line))
+            .map(|c| {
+                ArgOrigin::from_keyword(c.encode_utf8(&mut [0; 4]))
+                    .ok_or_else(|| perr(line, format!("unknown origin code `{c}`")))
+            })
             .collect::<Result<_, _>>()?
     };
     if origins.len() != args.len() {
@@ -126,6 +119,35 @@ fn parse_call(rest: &str, line: usize) -> Result<MethodCall, PersistError> {
     })
 }
 
+/// Renders strings as a list literal: `["a", "b"]`.
+fn string_list(items: &[String]) -> String {
+    Value::List(items.iter().map(|s| Value::Str(s.clone())).collect()).to_literal()
+}
+
+/// Parses `<case id> <transaction index> <string list>`, the shape of a
+/// suite's `case` line and a history's `entry` line; `what` names the
+/// list in errors.
+fn parse_indexed_list(
+    rest: &str,
+    line: usize,
+    what: &str,
+) -> Result<(usize, usize, Vec<String>), PersistError> {
+    let mut parts = rest.splitn(3, ' ');
+    let mut index = |field: &str| {
+        (parts.next().and_then(|s| s.parse().ok()))
+            .ok_or_else(|| perr(line, format!("bad {field}")))
+    };
+    let (id, txn) = (index("case id")?, index("transaction index")?);
+    let Some(Ok(Value::List(items))) = parts.next().map(parse_value_literal) else {
+        return Err(perr(line, format!("bad {what}")));
+    };
+    let list = items.into_iter().map(|v| match v {
+        Value::Str(s) => Ok(s),
+        _ => Err(perr(line, format!("{what} entries must be strings"))),
+    });
+    Ok((id, txn, list.collect::<Result<_, _>>()?))
+}
+
 /// Renders a suite in the persistence text format.
 pub fn save_suite(suite: &TestSuite) -> String {
     let mut out = String::new();
@@ -137,17 +159,13 @@ pub fn save_suite(suite: &TestSuite) -> String {
         suite.stats.transactions, suite.stats.cases, suite.stats.truncated, suite.stats.manual_args
     );
     for case in suite {
-        let path = Value::List(
-            case.node_path
-                .iter()
-                .map(|p| Value::Str(p.clone()))
-                .collect(),
-        )
-        .to_literal();
+        let path = string_list(&case.node_path);
         let _ = writeln!(out, "case {} {} {path}", case.id, case.transaction_index);
-        write_call(&mut out, "ctor", &case.constructor);
+        out.push_str("ctor");
+        write_call(&mut out, &case.constructor);
         for call in &case.calls {
-            write_call(&mut out, "call", call);
+            out.push_str("call");
+            write_call(&mut out, call);
         }
         let _ = writeln!(out, "endcase");
     }
@@ -259,13 +277,7 @@ pub fn load_suite(text: &str) -> Result<TestSuite, PersistError> {
     let mut cases: Vec<TestCase> = Vec::new();
     let mut current: Option<TestCase> = None;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+    for (line_no, keyword, rest) in keyed_lines(text).filter(|(_, k, _)| !k.starts_with('#')) {
         match keyword {
             "suite" => class_name = Some(rest.trim().to_owned()),
             "seed" => {
@@ -287,29 +299,12 @@ pub fn load_suite(text: &str) -> Result<TestSuite, PersistError> {
                 if current.is_some() {
                     return Err(perr(line_no, "previous case not closed"));
                 }
-                let mut parts = rest.splitn(3, ' ');
-                let id: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| perr(line_no, "bad case id"))?;
-                let txn: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| perr(line_no, "bad transaction index"))?;
-                let path = match parts.next().map(parse_value_literal) {
-                    Some(Ok(Value::List(items))) => items
-                        .into_iter()
-                        .map(|v| match v {
-                            Value::Str(s) => Ok(s),
-                            _ => Err(perr(line_no, "path entries must be strings")),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err(perr(line_no, "bad node path")),
-                };
+                let (id, transaction_index, node_path) =
+                    parse_indexed_list(rest, line_no, "node path")?;
                 current = Some(TestCase {
                     id,
-                    transaction_index: txn,
-                    node_path: path,
+                    transaction_index,
+                    node_path,
                     constructor: MethodCall::generated("", "", vec![]),
                     calls: Vec::new(),
                 });
@@ -346,8 +341,7 @@ pub fn save_history(history: &TestingHistory) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "history {}", history.class_name);
     for e in &history.entries {
-        let methods =
-            Value::List(e.methods.iter().map(|m| Value::Str(m.clone())).collect()).to_literal();
+        let methods = string_list(&e.methods);
         let _ = writeln!(out, "entry {} {} {methods}", e.case_id, e.transaction_index);
     }
     out
@@ -361,35 +355,12 @@ pub fn save_history(history: &TestingHistory) -> String {
 pub fn load_history(text: &str) -> Result<TestingHistory, PersistError> {
     let mut class_name: Option<String> = None;
     let mut entries = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+    for (line_no, keyword, rest) in keyed_lines(text).filter(|(_, k, _)| !k.starts_with('#')) {
         match keyword {
             "history" => class_name = Some(rest.trim().to_owned()),
             "entry" => {
-                let mut parts = rest.splitn(3, ' ');
-                let case_id: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| perr(line_no, "bad case id"))?;
-                let transaction_index: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| perr(line_no, "bad transaction index"))?;
-                let methods = match parts.next().map(parse_value_literal) {
-                    Some(Ok(Value::List(items))) => items
-                        .into_iter()
-                        .map(|v| match v {
-                            Value::Str(s) => Ok(s),
-                            _ => Err(perr(line_no, "methods must be strings")),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err(perr(line_no, "bad method list")),
-                };
+                let (case_id, transaction_index, methods) =
+                    parse_indexed_list(rest, line_no, "method list")?;
                 entries.push(HistoryEntry {
                     case_id,
                     transaction_index,

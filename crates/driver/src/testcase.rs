@@ -22,6 +22,13 @@ pub enum ArgOrigin {
     Manual,
 }
 
+concat_runtime::keyword_table!(ArgOrigin {
+    Generated => "g",
+    Boundary => "b",
+    Provided => "p",
+    Manual => "m",
+});
+
 impl fmt::Display for ArgOrigin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -16,7 +16,7 @@
 
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
-use crate::journal::campaign_fingerprint;
+use crate::journal::{campaign_fingerprint, campaign_header, parse_campaign_header};
 use crate::ledger::{CampaignLedger, LeaseOutcome, Ruling, INLINE};
 use crate::shard::process_lease;
 use concat_bit::ComponentFactory;
@@ -42,6 +42,12 @@ pub enum KillReason {
     /// Outputs (return values, exceptions, final state) differ.
     OutputDiff,
 }
+
+concat_runtime::keyword_table!(KillReason {
+    Crash => "crash",
+    Assertion => "assertion",
+    OutputDiff => "output",
+});
 
 impl fmt::Display for KillReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -87,18 +93,20 @@ pub enum QuarantineReason {
     ShardUnresponsive,
 }
 
+concat_runtime::keyword_table!(QuarantineReason {
+    Timeout => "timeout",
+    Budget => "budget",
+    RepeatedCrash => "repeated-crash",
+    WorkerCrash => "worker-crash",
+    ShardAbort => "shard-abort",
+    ShardSignal => "shard-signal",
+    ShardUnresponsive => "shard-unresponsive",
+});
+
+/// The record keyword with spaces for dashes: `repeated crash`.
 impl fmt::Display for QuarantineReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            QuarantineReason::Timeout => "timeout",
-            QuarantineReason::Budget => "budget",
-            QuarantineReason::RepeatedCrash => "repeated crash",
-            QuarantineReason::WorkerCrash => "worker crash",
-            QuarantineReason::ShardAbort => "shard abort",
-            QuarantineReason::ShardSignal => "shard signal",
-            QuarantineReason::ShardUnresponsive => "shard unresponsive",
-        };
-        f.write_str(s)
+        f.write_str(&self.keyword().replace('-', " "))
     }
 }
 
@@ -787,15 +795,12 @@ pub(crate) fn persist_coverage(
     fingerprint: Option<u32>,
     telemetry: &Telemetry,
 ) {
-    let Some(path) = &config.journal_path else {
+    // The fingerprint is known whenever a journal path is configured.
+    let (Some(path), Some(fingerprint)) = (&config.journal_path, fingerprint) else {
         return;
     };
     let coverage_path = PathBuf::from(format!("{}.coverage", path.display()));
-    let mut text = match fingerprint {
-        Some(fp) => format!("campaign {fp:08x}\n"),
-        None => String::new(),
-    };
-    text.push_str(&CoverageMatrix::from_suite(suite).to_text());
+    let text = campaign_header(fingerprint) + "\n" + &CoverageMatrix::from_suite(suite).to_text();
     if let Err(error) = write_atomic(&coverage_path, text.as_bytes()) {
         telemetry.incr("harden.degraded");
         telemetry.incr("coverage.write_failed");
@@ -824,26 +829,20 @@ pub fn load_campaign_coverage(
     fingerprint: u32,
 ) -> Result<CoverageMatrix, String> {
     let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: read failed: {e}", path.display()))?;
-    let Some((first, body)) = text.split_once('\n') else {
-        return Err(format!("{}: empty coverage sidecar", path.display()));
-    };
-    let Some(stamp) = first.strip_prefix("campaign ") else {
-        return Err(format!(
-            "{}: missing `campaign <fingerprint>` stamp",
-            path.display()
-        ));
-    };
-    let stamped = u32::from_str_radix(stamp, 16)
-        .map_err(|_| format!("{}: malformed fingerprint stamp {stamp:?}", path.display()))?;
-    if stamped != fingerprint {
-        return Err(format!(
-            "{}: stale coverage sidecar (stamped {stamped:08x}, campaign is {fingerprint:08x})",
-            path.display()
-        ));
+    let fail = |why: String| format!("{}: {why}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| fail(format!("read failed: {e}")))?;
+    let (stamp, body) = text
+        .split_once('\n')
+        .ok_or_else(|| fail("empty coverage sidecar".into()))?;
+    match parse_campaign_header(stamp) {
+        None => Err(fail(
+            "missing or malformed `campaign <fingerprint>` stamp".into(),
+        )),
+        Some(stamped) if stamped != fingerprint => Err(fail(format!(
+            "stale coverage sidecar (stamped {stamped:08x}, campaign is {fingerprint:08x})"
+        ))),
+        Some(_) => CoverageMatrix::from_text(body).map_err(|e| fail(e.to_string())),
     }
-    CoverageMatrix::from_text(body).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Runs a full mutation analysis, sequentially.

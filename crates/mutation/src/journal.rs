@@ -29,8 +29,8 @@
 use crate::analysis::{KillReason, MutantStatus, MutationConfig, QuarantineReason};
 use crate::enumerate::Mutant;
 use concat_driver::{CoverageMatrix, TestSuite};
-use concat_runtime::{crc32, recover_journal, Journal};
-use std::collections::{BTreeMap, BTreeSet};
+use concat_runtime::{crc32, open_headered, Fields, Headered, Journal};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -61,13 +61,7 @@ pub fn campaign_fingerprint(
             let _ = writeln!(text, "probe-case {case:?}");
         }
     }
-    let _ = writeln!(text, "bit {}", config.bit_enabled);
-    let _ = writeln!(
-        text,
-        "crash_threshold {:?}",
-        config.crash_quarantine_threshold
-    );
-    let _ = writeln!(text, "budget {:?}", config.budget);
+    write_config(&mut text, config);
     for mutant in mutants {
         let _ = writeln!(text, "mutant {mutant}");
     }
@@ -77,8 +71,19 @@ pub fn campaign_fingerprint(
     crc32(text.as_bytes())
 }
 
-fn header(fingerprint: u32) -> String {
+/// The header naming a campaign: the first record of its verdict
+/// journal and the first line of its coverage sidecar.
+pub fn campaign_header(fingerprint: u32) -> String {
     format!("campaign {fingerprint:08x}")
+}
+
+/// Decodes a [`campaign_header`] back to its fingerprint.
+pub fn parse_campaign_header(record: &str) -> Option<u32> {
+    let mut fields = Fields::new(record, ' ');
+    fields.expect("campaign")?;
+    let fingerprint = fields.hex()?;
+    fields.end()?;
+    Some(fingerprint)
 }
 
 /// One feature's share of the campaign: the mutated method, the
@@ -123,63 +128,57 @@ pub fn method_fingerprints(
         .iter()
         .map(CoverageMatrix::from_suite)
         .collect();
-    // Group mutants by method, keeping first-appearance order; each
-    // entry is `(global id, id-free rendering)` — ids are an artifact of
-    // enumeration order and must not influence the sub-fingerprint.
-    let mut order: Vec<&str> = Vec::new();
-    let mut by_method: BTreeMap<&str, Vec<(usize, String)>> = BTreeMap::new();
+    // Group mutants by method, keeping first-appearance order; campaign-
+    // global ids are an artifact of enumeration order and must not
+    // influence the sub-fingerprint.
+    let mut groups: Vec<(&str, Vec<&Mutant>)> = Vec::new();
     for mutant in mutants {
-        let method = mutant.method();
-        if !by_method.contains_key(method) {
-            order.push(method);
+        match groups
+            .iter_mut()
+            .find(|(method, _)| *method == mutant.method())
+        {
+            Some((_, group)) => group.push(mutant),
+            None => groups.push((mutant.method(), vec![mutant])),
         }
-        by_method
-            .entry(method)
-            .or_default()
-            .push((mutant.id, format!("[{}] {}", mutant.operator, mutant.plan)));
     }
-    order
+    groups
         .into_iter()
-        .map(|method| {
+        .map(|(method, group)| {
             let mut text = String::new();
             let _ = writeln!(text, "class {class_name}");
             let _ = writeln!(text, "method {method}");
-            let covering: BTreeSet<usize> = coverage.cases_covering(method).into_iter().collect();
-            for case in suite.cases.iter().filter(|c| covering.contains(&c.id)) {
+            for case in suite.cases.iter().filter(|c| coverage.covers(c.id, method)) {
                 let _ = writeln!(text, "case {case:?}");
             }
             for (index, probe) in config.probe_suites.iter().enumerate() {
                 let _ = writeln!(text, "probe {index}");
-                let covering: BTreeSet<usize> = probe_coverage[index]
-                    .cases_covering(method)
-                    .into_iter()
-                    .collect();
-                for case in probe.cases.iter().filter(|c| covering.contains(&c.id)) {
+                let covering = &probe_coverage[index];
+                for case in probe.cases.iter().filter(|c| covering.covers(c.id, method)) {
                     let _ = writeln!(text, "probe-case {case:?}");
                 }
             }
-            let _ = writeln!(text, "bit {}", config.bit_enabled);
-            let _ = writeln!(
-                text,
-                "crash_threshold {:?}",
-                config.crash_quarantine_threshold
-            );
-            let _ = writeln!(text, "budget {:?}", config.budget);
+            write_config(&mut text, config);
             if let Some(lineage) = config.lineage {
                 let _ = writeln!(text, "lineage {lineage:08x}");
             }
-            let entries = by_method.get(method).cloned().unwrap_or_default();
-            for (_, rendered) in &entries {
-                let _ = writeln!(text, "mutant {rendered}");
+            for mutant in &group {
+                let _ = writeln!(text, "mutant [{}] {}", mutant.operator, mutant.plan);
             }
-            let mutant_ids = entries.into_iter().map(|(id, _)| id).collect();
             FeatureFingerprint {
                 method: method.to_owned(),
                 fingerprint: crc32(text.as_bytes()),
-                mutant_ids,
+                mutant_ids: group.iter().map(|mutant| mutant.id).collect(),
             }
         })
         .collect()
+}
+
+/// The verdict-relevant configuration both fingerprints cover.
+fn write_config(text: &mut String, config: &MutationConfig) {
+    let _ = writeln!(text, "bit {}", config.bit_enabled);
+    let threshold = config.crash_quarantine_threshold;
+    let _ = writeln!(text, "crash_threshold {threshold:?}");
+    let _ = writeln!(text, "budget {:?}", config.budget);
 }
 
 /// Encodes one feature record for the journal:
@@ -192,23 +191,19 @@ pub fn encode_feature(feature: &FeatureFingerprint) -> String {
     record
 }
 
-/// Decodes a feature record; `None` for anything that is not one
-/// (verdict records, the header, foreign payloads).
+/// Decodes a feature record; `None` for anything [`encode_feature`]
+/// would not write (verdict records, the header, foreign payloads).
 pub fn decode_feature(record: &str) -> Option<FeatureFingerprint> {
-    let mut parts = record.split(' ');
-    if parts.next()? != "feature" {
-        return None;
+    let mut fields = Fields::new(record, ' ');
+    fields.expect("feature")?;
+    let method = fields.word()?.to_owned();
+    let fingerprint = fields.hex()?;
+    let mut mutant_ids = Vec::new();
+    while fields.end().is_none() {
+        mutant_ids.push(fields.dec()?);
     }
-    let method = parts.next()?;
-    if method.is_empty() {
-        return None;
-    }
-    let fingerprint = u32::from_str_radix(parts.next()?, 16).ok()?;
-    let mutant_ids = parts
-        .map(|p| p.parse().ok())
-        .collect::<Option<Vec<usize>>>()?;
     Some(FeatureFingerprint {
-        method: method.to_owned(),
+        method,
         fingerprint,
         mutant_ids,
     })
@@ -216,74 +211,48 @@ pub fn decode_feature(record: &str) -> Option<FeatureFingerprint> {
 
 /// Encodes one mutant verdict as a journal record payload.
 pub fn encode_verdict(id: usize, status: &MutantStatus) -> String {
-    let code = match status {
+    match status {
         MutantStatus::Killed { reason, by_case } => {
-            let reason = match reason {
-                KillReason::Crash => "crash",
-                KillReason::Assertion => "assertion",
-                KillReason::OutputDiff => "output",
-            };
-            format!("killed {reason} {by_case}")
+            format!("verdict {id} killed {} {by_case}", reason.keyword())
         }
-        MutantStatus::Survived => "survived".to_owned(),
-        MutantStatus::PresumedEquivalent => "equivalent".to_owned(),
+        MutantStatus::Survived => format!("verdict {id} survived"),
+        MutantStatus::PresumedEquivalent => format!("verdict {id} equivalent"),
         MutantStatus::Quarantined { reason } => {
-            let reason = match reason {
-                QuarantineReason::Timeout => "timeout",
-                QuarantineReason::Budget => "budget",
-                QuarantineReason::RepeatedCrash => "repeated-crash",
-                QuarantineReason::WorkerCrash => "worker-crash",
-                QuarantineReason::ShardAbort => "shard-abort",
-                QuarantineReason::ShardSignal => "shard-signal",
-                QuarantineReason::ShardUnresponsive => "shard-unresponsive",
-            };
-            format!("quarantined {reason}")
+            format!("verdict {id} quarantined {}", reason.keyword())
         }
-    };
-    format!("verdict {id} {code}")
+    }
 }
 
 /// Decodes a journal record payload back into `(mutant id, status)`;
-/// `None` for anything that is not a well-formed verdict record (the
-/// checksum already passed, so this only rejects foreign payloads).
+/// `None` for anything [`encode_verdict`] would not write (the checksum
+/// already passed, so this rejects foreign or non-canonical payloads).
 pub fn decode_verdict(record: &str) -> Option<(usize, MutantStatus)> {
-    let mut parts = record.split(' ');
-    if parts.next()? != "verdict" {
-        return None;
-    }
-    let id: usize = parts.next()?.parse().ok()?;
-    let status = match parts.next()? {
-        "killed" => {
-            let reason = match parts.next()? {
-                "crash" => KillReason::Crash,
-                "assertion" => KillReason::Assertion,
-                "output" => KillReason::OutputDiff,
-                _ => return None,
-            };
-            let by_case: usize = parts.next()?.parse().ok()?;
-            MutantStatus::Killed { reason, by_case }
-        }
+    let mut fields = Fields::new(record, ' ');
+    fields.expect("verdict")?;
+    let id = fields.dec()?;
+    let status = match fields.word()? {
+        "killed" => MutantStatus::Killed {
+            reason: KillReason::from_keyword(fields.word()?)?,
+            by_case: fields.dec()?,
+        },
         "survived" => MutantStatus::Survived,
         "equivalent" => MutantStatus::PresumedEquivalent,
-        "quarantined" => {
-            let reason = match parts.next()? {
-                "timeout" => QuarantineReason::Timeout,
-                "budget" => QuarantineReason::Budget,
-                "repeated-crash" => QuarantineReason::RepeatedCrash,
-                "worker-crash" => QuarantineReason::WorkerCrash,
-                "shard-abort" => QuarantineReason::ShardAbort,
-                "shard-signal" => QuarantineReason::ShardSignal,
-                "shard-unresponsive" => QuarantineReason::ShardUnresponsive,
-                _ => return None,
-            };
-            MutantStatus::Quarantined { reason }
-        }
+        "quarantined" => MutantStatus::Quarantined {
+            reason: QuarantineReason::from_keyword(fields.word()?)?,
+        },
         _ => return None,
     };
-    if parts.next().is_some() {
-        return None;
-    }
+    fields.end()?;
     Some((id, status))
+}
+
+/// The verdicts among `records` for mutants this campaign has.
+fn replay(records: &[String], mutant_count: usize) -> Vec<(usize, MutantStatus)> {
+    records
+        .iter()
+        .filter_map(|record| decode_verdict(record))
+        .filter(|(id, _)| *id < mutant_count)
+        .collect()
 }
 
 /// A per-campaign verdict journal: opened (with recovery and replay) by
@@ -307,51 +276,36 @@ pub struct IncrementalResume {
 
 impl CampaignJournal {
     /// Opens the journal at `path`, repairing any torn/corrupt tail, and
-    /// returns it together with the verdicts to replay.
-    ///
-    /// * Missing file, or a header from a *different* campaign: the
-    ///   journal is reset to a fresh header and nothing is replayed.
-    /// * Matching header: every verified verdict record for a known
-    ///   mutant id is returned for replay.
+    /// returns it with the verdicts to replay: every verified verdict for
+    /// a known mutant id under a matching header. A missing journal, or
+    /// one from a *different* campaign, is replaced by a fresh header.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from recovery, reset or the header append.
+    /// Propagates I/O errors from recovery or the rewrite.
     pub fn resume(
         path: &Path,
         fingerprint: u32,
         mutant_count: usize,
     ) -> io::Result<(CampaignJournal, Vec<(usize, MutantStatus)>)> {
-        let (mut journal, scan) = recover_journal(path)?;
-        let expected = header(fingerprint);
-        if scan.records.first() == Some(&expected) {
-            let replayed = scan.records[1..]
-                .iter()
-                .filter_map(|record| decode_verdict(record))
-                .filter(|(id, _)| *id < mutant_count)
-                .collect();
-            return Ok((CampaignJournal { journal }, replayed));
-        }
-        // Not ours (or empty): start a fresh journal for this campaign.
-        journal.clear()?;
-        journal.append(&expected)?;
-        Ok((CampaignJournal { journal }, Vec::new()))
+        let resume = CampaignJournal::open(path, fingerprint, None, mutant_count)?;
+        Ok((resume.journal, resume.replayed))
     }
 
     /// Opens the journal at `path` in *incremental* mode: like
-    /// [`CampaignJournal::resume`], but a journal from a *different*
-    /// campaign is salvaged method by method instead of discarded
-    /// wholesale.
+    /// [`CampaignJournal::resume`], but features are journaled and a
+    /// journal from a *different* campaign is salvaged method by method.
     ///
-    /// * Matching header: every verdict replays. If the stored feature
-    ///   records don't match the expected ones (e.g. the journal was
-    ///   written by a non-incremental run), the journal is rewritten in
-    ///   place with the features added so a future change can salvage.
-    /// * Mismatched header: the old journal's `feature` records are
-    ///   compared against `features`. A method whose sub-fingerprint and
-    ///   mutant count are unchanged keeps its verdicts, remapped
-    ///   positionally onto the new ids; everything else is dropped. The
-    ///   journal is rewritten as header + features + salvaged verdicts.
+    /// * Matching header: every verdict replays. A journal whose stored
+    ///   feature records differ (e.g. one written by a plain run) is
+    ///   rewritten with them, so a future change can salvage.
+    /// * Missing file or mismatched header: a method whose
+    ///   sub-fingerprint and mutant count are unchanged keeps its
+    ///   verdicts, remapped positionally onto the new ids; the journal is
+    ///   rewritten as header + features + salvaged verdicts.
+    ///
+    /// Every rewrite is atomic ([`Journal::rewrite`]): a kill mid-rewrite
+    /// leaves the old journal.
     ///
     /// # Errors
     ///
@@ -362,83 +316,52 @@ impl CampaignJournal {
         features: &[FeatureFingerprint],
         mutant_count: usize,
     ) -> io::Result<IncrementalResume> {
-        let (mut journal, scan) = recover_journal(path)?;
-        let expected = header(fingerprint);
-        let feature_records: Vec<String> = features.iter().map(encode_feature).collect();
-        if scan.records.first() == Some(&expected) {
-            let stored: Vec<&String> = scan.records[1..]
-                .iter()
-                .filter(|r| r.starts_with("feature "))
-                .collect();
-            let replayed: Vec<(usize, MutantStatus)> = scan.records[1..]
-                .iter()
-                .filter_map(|record| decode_verdict(record))
-                .filter(|(id, _)| *id < mutant_count)
-                .collect();
-            if stored.len() != feature_records.len()
-                || stored.iter().zip(&feature_records).any(|(a, b)| *a != b)
-            {
-                journal.clear()?;
-                let mut batch = vec![expected];
-                batch.extend(feature_records);
-                batch.extend(
-                    replayed
-                        .iter()
-                        .map(|(id, status)| encode_verdict(*id, status)),
-                );
-                journal.append_all(&batch)?;
-            }
-            return Ok(IncrementalResume {
-                journal: CampaignJournal { journal },
-                replayed,
-                rebuilt: false,
-            });
-        }
-        // Foreign (or missing) journal: salvage unchanged features.
-        let mut old_features: BTreeMap<String, (u32, Vec<usize>)> = BTreeMap::new();
-        let mut old_verdicts: BTreeMap<usize, MutantStatus> = BTreeMap::new();
-        let had_campaign = matches!(scan.records.first(), Some(r) if r.starts_with("campaign "));
-        if had_campaign {
-            for record in &scan.records[1..] {
-                if let Some(feature) = decode_feature(record) {
-                    old_features
-                        .entry(feature.method)
-                        .or_insert((feature.fingerprint, feature.mutant_ids));
-                } else if let Some((id, status)) = decode_verdict(record) {
-                    old_verdicts.entry(id).or_insert(status);
+        CampaignJournal::open(path, fingerprint, Some(features), mutant_count)
+    }
+
+    /// [`CampaignJournal::resume_incremental`] when `features` is given,
+    /// [`CampaignJournal::resume`] otherwise.
+    pub(crate) fn open(
+        path: &Path,
+        fingerprint: u32,
+        features: Option<&[FeatureFingerprint]>,
+        mutant_count: usize,
+    ) -> io::Result<IncrementalResume> {
+        let header = campaign_header(fingerprint);
+        let feature_records: Vec<String> = features
+            .unwrap_or_default()
+            .iter()
+            .map(encode_feature)
+            .collect();
+        let (replayed, rebuilt) = match open_headered(path, &header)? {
+            Headered::Matched(journal, records) => {
+                let replayed = replay(&records, mutant_count);
+                let stored = records.iter().filter(|r| r.starts_with("feature "));
+                if features.is_none() || stored.eq(feature_records.iter()) {
+                    return Ok(IncrementalResume {
+                        journal: CampaignJournal { journal },
+                        replayed,
+                        rebuilt: false,
+                    });
                 }
+                (replayed, false)
             }
-        }
-        let mut salvaged: Vec<(usize, MutantStatus)> = Vec::new();
-        for feature in features {
-            let Some((old_fp, old_ids)) = old_features.get(&feature.method) else {
-                continue;
-            };
-            if *old_fp != feature.fingerprint || old_ids.len() != feature.mutant_ids.len() {
-                continue;
+            Headered::Foreign(records) => {
+                let salvaged = features.map(|f| salvage(&records, f, mutant_count));
+                let salvaged = salvaged.unwrap_or_default();
+                let rebuilt = !salvaged.is_empty();
+                (salvaged, rebuilt)
             }
-            for (&new_id, old_id) in feature.mutant_ids.iter().zip(old_ids) {
-                if new_id < mutant_count {
-                    if let Some(status) = old_verdicts.get(old_id) {
-                        salvaged.push((new_id, status.clone()));
-                    }
-                }
-            }
-        }
-        salvaged.sort_by_key(|(id, _)| *id);
-        journal.clear()?;
-        let mut batch = vec![expected];
+        };
+        let mut batch = vec![header];
         batch.extend(feature_records);
-        batch.extend(
-            salvaged
-                .iter()
-                .map(|(id, status)| encode_verdict(*id, status)),
-        );
-        journal.append_all(&batch)?;
-        let rebuilt = had_campaign && !salvaged.is_empty();
+        batch.extend(replayed.iter().map(|(id, s)| encode_verdict(*id, s)));
+        let journal = CampaignJournal {
+            journal: Journal::rewrite(path, &batch)?,
+        };
         Ok(IncrementalResume {
-            journal: CampaignJournal { journal },
-            replayed: salvaged,
+            journal,
+            replayed,
             rebuilt,
         })
     }
@@ -459,9 +382,54 @@ impl CampaignJournal {
     }
 }
 
+/// The verdicts a foreign journal (`records`, header first) still holds
+/// for this campaign's `features`, in new-id order.
+fn salvage(
+    records: &[String],
+    features: &[FeatureFingerprint],
+    mutant_count: usize,
+) -> Vec<(usize, MutantStatus)> {
+    let Some((header, records)) = records.split_first() else {
+        return Vec::new();
+    };
+    if parse_campaign_header(header).is_none() {
+        return Vec::new();
+    }
+    let mut old_features: BTreeMap<String, (u32, Vec<usize>)> = BTreeMap::new();
+    let mut old_verdicts: BTreeMap<usize, MutantStatus> = BTreeMap::new();
+    for record in records {
+        if let Some(feature) = decode_feature(record) {
+            old_features
+                .entry(feature.method)
+                .or_insert((feature.fingerprint, feature.mutant_ids));
+        } else if let Some((id, status)) = decode_verdict(record) {
+            old_verdicts.entry(id).or_insert(status);
+        }
+    }
+    let mut salvaged: Vec<(usize, MutantStatus)> = Vec::new();
+    for feature in features {
+        let Some((old_fp, old_ids)) = old_features.get(&feature.method) else {
+            continue;
+        };
+        if *old_fp != feature.fingerprint || old_ids.len() != feature.mutant_ids.len() {
+            continue;
+        }
+        for (&new_id, old_id) in feature.mutant_ids.iter().zip(old_ids) {
+            if new_id < mutant_count {
+                if let Some(status) = old_verdicts.get(old_id) {
+                    salvaged.push((new_id, status.clone()));
+                }
+            }
+        }
+    }
+    salvaged.sort_by_key(|(id, _)| *id);
+    salvaged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concat_runtime::recover_journal;
     use std::fs;
     use std::path::PathBuf;
 
@@ -470,78 +438,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    fn all_statuses() -> Vec<MutantStatus> {
-        vec![
-            MutantStatus::Killed {
-                reason: KillReason::Crash,
-                by_case: 3,
-            },
-            MutantStatus::Killed {
-                reason: KillReason::Assertion,
-                by_case: 0,
-            },
-            MutantStatus::Killed {
-                reason: KillReason::OutputDiff,
-                by_case: 17,
-            },
-            MutantStatus::Survived,
-            MutantStatus::PresumedEquivalent,
-            MutantStatus::Quarantined {
-                reason: QuarantineReason::Timeout,
-            },
-            MutantStatus::Quarantined {
-                reason: QuarantineReason::Budget,
-            },
-            MutantStatus::Quarantined {
-                reason: QuarantineReason::RepeatedCrash,
-            },
-            MutantStatus::Quarantined {
-                reason: QuarantineReason::WorkerCrash,
-            },
-            MutantStatus::Quarantined {
-                reason: QuarantineReason::ShardAbort,
-            },
-            MutantStatus::Quarantined {
-                reason: QuarantineReason::ShardSignal,
-            },
-            MutantStatus::Quarantined {
-                reason: QuarantineReason::ShardUnresponsive,
-            },
-        ]
-    }
-
-    #[test]
-    fn every_status_round_trips() {
-        for (id, status) in all_statuses().into_iter().enumerate() {
-            let record = encode_verdict(id, &status);
-            assert_eq!(
-                decode_verdict(&record),
-                Some((id, status)),
-                "record {record:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn malformed_records_are_rejected() {
-        for bad in [
-            "",
-            "verdict",
-            "verdict x survived",
-            "verdict 1",
-            "verdict 1 killed",
-            "verdict 1 killed crash",
-            "verdict 1 killed crash x",
-            "verdict 1 killed slowly 2",
-            "verdict 1 quarantined",
-            "verdict 1 quarantined vibes",
-            "verdict 1 survived extra",
-            "campaign deadbeef",
-        ] {
-            assert_eq!(decode_verdict(bad), None, "{bad:?} must not decode");
-        }
     }
 
     #[test]

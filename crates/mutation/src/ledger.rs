@@ -16,7 +16,7 @@ use crate::analysis::{
     QuarantineReason,
 };
 use crate::enumerate::Mutant;
-use crate::journal::{campaign_fingerprint, CampaignJournal};
+use crate::journal::{campaign_fingerprint, method_fingerprints, CampaignJournal};
 use concat_driver::{SuiteResult, TestSuite};
 use concat_obs::Telemetry;
 use concat_runtime::{RetryPolicy, Rng};
@@ -397,41 +397,22 @@ fn record_status(telemetry: &Telemetry, status: &MutantStatus) {
         return;
     }
     telemetry.incr(match status {
-        MutantStatus::Killed {
-            reason: KillReason::Crash,
-            ..
-        } => "mutant.killed.crash",
-        MutantStatus::Killed {
-            reason: KillReason::Assertion,
-            ..
-        } => "mutant.killed.assertion",
-        MutantStatus::Killed {
-            reason: KillReason::OutputDiff,
-            ..
-        } => "mutant.killed.output_diff",
+        MutantStatus::Killed { reason, .. } => match reason {
+            KillReason::Crash => "mutant.killed.crash",
+            KillReason::Assertion => "mutant.killed.assertion",
+            KillReason::OutputDiff => "mutant.killed.output_diff",
+        },
         MutantStatus::Survived => "mutant.survived",
         MutantStatus::PresumedEquivalent => "mutant.equivalent.presumed",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::Timeout,
-        } => "mutant.quarantined.timeout",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::Budget,
-        } => "mutant.quarantined.budget",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::RepeatedCrash,
-        } => "mutant.quarantined.repeated_crash",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::WorkerCrash,
-        } => "mutant.quarantined.worker_crash",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::ShardAbort,
-        } => "mutant.quarantined.shard_abort",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::ShardSignal,
-        } => "mutant.quarantined.shard_signal",
-        MutantStatus::Quarantined {
-            reason: QuarantineReason::ShardUnresponsive,
-        } => "mutant.quarantined.shard_unresponsive",
+        MutantStatus::Quarantined { reason } => match reason {
+            QuarantineReason::Timeout => "mutant.quarantined.timeout",
+            QuarantineReason::Budget => "mutant.quarantined.budget",
+            QuarantineReason::RepeatedCrash => "mutant.quarantined.repeated_crash",
+            QuarantineReason::WorkerCrash => "mutant.quarantined.worker_crash",
+            QuarantineReason::ShardAbort => "mutant.quarantined.shard_abort",
+            QuarantineReason::ShardSignal => "mutant.quarantined.shard_signal",
+            QuarantineReason::ShardUnresponsive => "mutant.quarantined.shard_unresponsive",
+        },
     });
     if status.is_quarantined() {
         telemetry.incr("mutation.quarantined");
@@ -475,22 +456,18 @@ impl JournalState {
         };
         let open_span = telemetry.span("journal", "open");
         let fingerprint = campaign_fingerprint(class_name, suite, mutants, config);
-        let resumed = if config.incremental {
-            let features = crate::journal::method_fingerprints(class_name, suite, mutants, config);
-            CampaignJournal::resume_incremental(path, fingerprint, &features, mutants.len()).map(
-                |resume| {
-                    if resume.rebuilt {
-                        telemetry.incr("mutation.incremental_rebuild");
-                    }
-                    (resume.journal, resume.replayed)
-                },
-            )
-        } else {
-            CampaignJournal::resume(path, fingerprint, mutants.len())
-        };
+        let features = config
+            .incremental
+            .then(|| method_fingerprints(class_name, suite, mutants, config));
+        let resumed = CampaignJournal::open(path, fingerprint, features.as_deref(), mutants.len());
         open_span.finish();
         let (inner, replayed) = match resumed {
-            Ok((journal, replayed)) => (Some(journal), replayed),
+            Ok(resume) => {
+                if resume.rebuilt {
+                    telemetry.incr("mutation.incremental_rebuild");
+                }
+                (Some(resume.journal), resume.replayed)
+            }
             Err(_) => {
                 telemetry.incr("harden.degraded");
                 (None, Vec::new())

@@ -84,8 +84,9 @@ pub use enumerate::{enumerate_mutants, expected_count, Mutant};
 pub use fault::{coerce_int, ClonableFactory, FaultPlan, MutationSwitch, Replacement, VarEnv};
 pub use inventory::{ClassInventory, MethodInventory, UseSite};
 pub use journal::{
-    campaign_fingerprint, decode_feature, decode_verdict, encode_feature, encode_verdict,
-    method_fingerprints, CampaignJournal, FeatureFingerprint, IncrementalResume,
+    campaign_fingerprint, campaign_header, decode_feature, decode_verdict, encode_feature,
+    encode_verdict, method_fingerprints, parse_campaign_header, CampaignJournal,
+    FeatureFingerprint, IncrementalResume,
 };
 pub use matrix::{CellStats, MutationMatrix};
 pub use operators::{MutationOperator, ReqConst};
@@ -94,5 +95,6 @@ pub use orchestrator::{
     DegradeReason, Orchestrator, OrchestratorConfig, SlotConfig, SubmitError,
 };
 pub use shard::{
-    run_shard_worker, shard_worker_requested, SHARD_FINGERPRINT_ENV, SHARD_INDICES_ENV,
+    encode_shard_indices, parse_shard_indices, run_shard_worker, shard_worker_requested,
+    ShardFrame, SHARD_FINGERPRINT_ENV, SHARD_INDICES_ENV,
 };

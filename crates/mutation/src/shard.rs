@@ -42,8 +42,8 @@ use crate::ledger::LeaseOutcome;
 use concat_driver::TestSuite;
 use concat_obs::Telemetry;
 use concat_runtime::{
-    classify_exit, encode_frame, terminate_child, wait_with_deadline, CancelToken, ExitClass,
-    FrameDecoder, Liveness,
+    classify_exit, encode_frame, hex8, terminate_child, wait_with_deadline, CancelToken, ExitClass,
+    Fields, FrameDecoder, Liveness,
 };
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -78,8 +78,9 @@ pub fn shard_worker_requested() -> bool {
     std::env::var_os(SHARD_INDICES_ENV).is_some()
 }
 
-/// One frame from worker to supervisor, parsed.
-pub(crate) enum ShardFrame {
+/// One frame payload from worker to supervisor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardFrame {
     /// First frame: the worker's recomputed campaign fingerprint.
     Hello(u32),
     /// The worker is about to execute this mutant index (doubles as the
@@ -89,28 +90,33 @@ pub(crate) enum ShardFrame {
     Verdict(usize, MutantStatus),
     /// The worker finished its slice and is exiting cleanly.
     Done,
-    /// A verified frame that is none of ours (ignored).
-    Foreign,
 }
 
-pub(crate) fn parse_frame(payload: &str) -> ShardFrame {
-    if let Some(rest) = payload.strip_prefix("shard-hello ") {
-        if let Ok(fp) = u32::from_str_radix(rest, 16) {
-            return ShardFrame::Hello(fp);
+impl ShardFrame {
+    /// The frame payload: `shard-hello <fp>`, `shard-begin <index>`, a
+    /// verdict record, or `shard-done`.
+    pub fn encode(&self) -> String {
+        match self {
+            ShardFrame::Hello(fingerprint) => format!("shard-hello {fingerprint:08x}"),
+            ShardFrame::Begin(index) => format!("shard-begin {index}"),
+            ShardFrame::Verdict(index, status) => encode_verdict(*index, status),
+            ShardFrame::Done => "shard-done".to_owned(),
         }
     }
-    if let Some(rest) = payload.strip_prefix("shard-begin ") {
-        if let Ok(index) = rest.parse() {
-            return ShardFrame::Begin(index);
-        }
+
+    /// Decodes a frame payload; `None` for anything
+    /// [`ShardFrame::encode`] would not write (foreign frames are ignored).
+    pub fn decode(payload: &str) -> Option<ShardFrame> {
+        let mut fields = Fields::new(payload, ' ');
+        let frame = match fields.word()? {
+            "shard-hello" => ShardFrame::Hello(fields.hex()?),
+            "shard-begin" => ShardFrame::Begin(fields.dec()?),
+            "shard-done" => ShardFrame::Done,
+            _ => return decode_verdict(payload).map(|(i, status)| ShardFrame::Verdict(i, status)),
+        };
+        fields.end()?;
+        Some(frame)
     }
-    if let Some((index, status)) = decode_verdict(payload) {
-        return ShardFrame::Verdict(index, status);
-    }
-    if payload == "shard-done" {
-        return ShardFrame::Done;
-    }
-    ShardFrame::Foreign
 }
 
 /// The lease's acceptance rule: a `Begin` or `Verdict` frame is accepted
@@ -120,24 +126,28 @@ pub(crate) fn parse_frame(payload: &str) -> ShardFrame {
 pub(crate) fn accepts(frame: &ShardFrame, outstanding: &[usize]) -> bool {
     match frame {
         ShardFrame::Begin(index) | ShardFrame::Verdict(index, _) => outstanding.contains(index),
-        ShardFrame::Hello(_) | ShardFrame::Done | ShardFrame::Foreign => true,
+        ShardFrame::Hello(_) | ShardFrame::Done => true,
     }
 }
 
-/// Parses [`SHARD_INDICES_ENV`] totally: comma-separated decimal indices,
-/// each below `mutant_count` and named once. An empty list is valid;
-/// any malformed, out-of-range or duplicate entry rejects the whole list.
-pub(crate) fn parse_shard_indices(text: &str, mutant_count: usize) -> Option<Vec<usize>> {
+/// Encodes a lease for [`SHARD_INDICES_ENV`].
+pub fn encode_shard_indices(indices: &[usize]) -> String {
+    let entries: Vec<String> = indices.iter().map(ToString::to_string).collect();
+    entries.join(",")
+}
+
+/// Parses [`SHARD_INDICES_ENV`] totally: comma-separated canonical
+/// decimal indices, each below `mutant_count` and named once. An empty
+/// list is valid; any malformed, out-of-range or duplicate entry rejects
+/// the whole list.
+pub fn parse_shard_indices(text: &str, mutant_count: usize) -> Option<Vec<usize>> {
     if text.is_empty() {
         return Some(Vec::new());
     }
     let mut seen = vec![false; mutant_count];
     text.split(',')
         .map(|entry| {
-            if !entry.bytes().all(|b| b.is_ascii_digit()) {
-                return None;
-            }
-            let index: usize = entry.parse().ok()?;
+            let index = Fields::new(entry, ',').dec()?;
             let first = !std::mem::replace(seen.get_mut(index)?, true);
             first.then_some(index)
         })
@@ -186,16 +196,10 @@ pub fn run_shard_worker(
     config: &MutationConfig,
 ) -> i32 {
     let _hook_guard = config.silence_panics.then(PanicSilencer::install);
-    let (Ok(indices_var), Ok(expected_var)) = (
-        std::env::var(SHARD_INDICES_ENV),
-        std::env::var(SHARD_FINGERPRINT_ENV),
-    ) else {
-        return EXIT_BAD_ENV;
-    };
-    let Ok(expected) = u32::from_str_radix(&expected_var, 16) else {
-        return EXIT_BAD_ENV;
-    };
-    let Some(indices) = parse_shard_indices(&indices_var, mutants.len()) else {
+    let env = |key| std::env::var(key).ok();
+    let indices = env(SHARD_INDICES_ENV).and_then(|text| parse_shard_indices(&text, mutants.len()));
+    let expected = env(SHARD_FINGERPRINT_ENV).and_then(|text| hex8(text.as_bytes()));
+    let (Some(indices), Some(expected)) = (indices, expected) else {
         return EXIT_BAD_ENV;
     };
 
@@ -204,7 +208,7 @@ pub fn run_shard_worker(
         closed: Cell::new(false),
     };
     let fingerprint = campaign_fingerprint(shards.class_name(), suite, mutants, config);
-    if !out.emit(&format!("shard-hello {fingerprint:08x}")) {
+    if !out.emit(&ShardFrame::Hello(fingerprint).encode()) {
         return EXIT_PIPE_CLOSED;
     }
     if fingerprint != expected {
@@ -241,14 +245,14 @@ pub fn run_shard_worker(
         &harness,
         rest,
         &cancel,
-        Some(&mut |index| out.emit(&format!("shard-begin {index}"))),
+        Some(&mut |index| out.emit(&ShardFrame::Begin(index).encode())),
         &mut |index, status| {
-            out.emit(&encode_verdict(index, &status));
+            out.emit(&ShardFrame::Verdict(index, status).encode());
         },
     ) {
         rest = rest.get(emitted as usize..).unwrap_or_default();
     }
-    if !out.emit("shard-done") {
+    if !out.emit(&ShardFrame::Done.encode()) {
         return EXIT_PIPE_CLOSED;
     }
     EXIT_OK
@@ -282,15 +286,10 @@ pub(crate) fn process_lease(
     telemetry: &Telemetry,
     on_verdict: &mut dyn FnMut(usize, MutantStatus),
 ) -> LeaseOutcome {
-    let csv = lease
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
     let spawned = std::env::current_exe().and_then(|exe| {
         Command::new(exe)
             .args(&spec.worker_args)
-            .env(SHARD_INDICES_ENV, csv)
+            .env(SHARD_INDICES_ENV, encode_shard_indices(lease))
             .env(SHARD_FINGERPRINT_ENV, format!("{fingerprint:08x}"))
             .envs(spec.worker_env.iter().map(|(key, value)| (key, value)))
             .stdin(Stdio::null())
@@ -332,18 +331,18 @@ pub(crate) fn process_lease(
         match rx.recv_timeout(PIPE_POLL) {
             Ok(payload) => {
                 liveness.beat();
-                match parse_frame(&payload) {
-                    frame if !accepts(&frame, &outstanding) => refused += 1,
-                    ShardFrame::Hello(fp) if fp == fingerprint => {}
-                    ShardFrame::Hello(_) => {
+                match ShardFrame::decode(&payload) {
+                    Some(frame) if !accepts(&frame, &outstanding) => refused += 1,
+                    Some(ShardFrame::Hello(fp)) if fp == fingerprint => {}
+                    Some(ShardFrame::Hello(_)) => {
                         // The worker rebuilt a different campaign — a
                         // config bug, deterministic on retry.
                         poisoned = true;
                         telemetry.incr("harden.degraded");
                         let _ = terminate_child(&mut child, spec.term_grace);
                     }
-                    ShardFrame::Begin(index) => in_flight = Some(index),
-                    ShardFrame::Verdict(index, status) => {
+                    Some(ShardFrame::Begin(index)) => in_flight = Some(index),
+                    Some(ShardFrame::Verdict(index, status)) => {
                         outstanding.retain(|&o| o != index);
                         if in_flight == Some(index) {
                             in_flight = None;
@@ -353,7 +352,7 @@ pub(crate) fn process_lease(
                             emitted += 1;
                         }
                     }
-                    ShardFrame::Done | ShardFrame::Foreign => {}
+                    Some(ShardFrame::Done) | None => {}
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -397,25 +396,28 @@ mod tests {
 
     #[test]
     fn frames_parse_and_reject() {
-        assert!(matches!(
-            parse_frame("shard-hello 00ffaa12"),
-            ShardFrame::Hello(0x00FF_AA12)
-        ));
-        assert!(matches!(parse_frame("shard-begin 7"), ShardFrame::Begin(7)));
-        assert!(matches!(parse_frame("shard-done"), ShardFrame::Done));
-        assert!(matches!(
-            parse_frame("verdict 3 survived"),
-            ShardFrame::Verdict(3, MutantStatus::Survived)
-        ));
-        assert!(matches!(
-            parse_frame("verdict 9 quarantined shard-abort"),
-            ShardFrame::Verdict(
+        assert_eq!(
+            ShardFrame::decode("shard-hello 00ffaa12"),
+            Some(ShardFrame::Hello(0x00FF_AA12))
+        );
+        assert_eq!(
+            ShardFrame::decode("shard-begin 7"),
+            Some(ShardFrame::Begin(7))
+        );
+        assert_eq!(ShardFrame::decode("shard-done"), Some(ShardFrame::Done));
+        assert_eq!(
+            ShardFrame::decode("verdict 3 survived"),
+            Some(ShardFrame::Verdict(3, MutantStatus::Survived))
+        );
+        assert_eq!(
+            ShardFrame::decode("verdict 9 quarantined shard-abort"),
+            Some(ShardFrame::Verdict(
                 9,
                 MutantStatus::Quarantined {
                     reason: QuarantineReason::ShardAbort
                 }
-            )
-        ));
+            ))
+        );
         for foreign in [
             "",
             "shard-hello xx",
@@ -423,10 +425,7 @@ mod tests {
             "running 2 tests",
             "verdict nine survived",
         ] {
-            assert!(
-                matches!(parse_frame(foreign), ShardFrame::Foreign),
-                "{foreign:?}"
-            );
+            assert_eq!(ShardFrame::decode(foreign), None, "{foreign:?}");
         }
     }
 
@@ -450,7 +449,7 @@ mod tests {
             !accepts(&ShardFrame::Begin(3), &[5]),
             "3 already has a verdict"
         );
-        for frame in [ShardFrame::Hello(1), ShardFrame::Done, ShardFrame::Foreign] {
+        for frame in [ShardFrame::Hello(1), ShardFrame::Done] {
             assert!(accepts(&frame, &[]));
         }
     }

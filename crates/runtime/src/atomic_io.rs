@@ -24,6 +24,8 @@
 //! <crc32 of payload, 8 lowercase hex digits> <payload>\n
 //! ```
 
+use crate::record::hex8;
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -252,15 +254,7 @@ impl Journal {
     /// `InvalidInput` when the payload contains a newline (records are
     /// line-framed); otherwise the underlying write/sync error.
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
-        if payload.contains('\n') {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "journal records are line-framed and cannot contain newlines",
-            ));
-        }
-        let record = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
-        self.file.write_all(record.as_bytes())?;
-        self.file.sync_data()
+        self.append_all(&[payload])
     }
 
     /// Appends a batch of checksummed records with a single fsync: every
@@ -274,20 +268,7 @@ impl Journal {
     /// `InvalidInput` when any payload contains a newline (nothing is
     /// written in that case); otherwise the underlying write/sync error.
     pub fn append_all<S: AsRef<str>>(&mut self, payloads: &[S]) -> io::Result<()> {
-        let mut batch = String::new();
-        for payload in payloads {
-            let payload = payload.as_ref();
-            if payload.contains('\n') {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "journal records are line-framed and cannot contain newlines",
-                ));
-            }
-            let _ = std::fmt::Write::write_fmt(
-                &mut batch,
-                format_args!("{:08x} {payload}\n", crc32(payload.as_bytes())),
-            );
-        }
+        let batch = frame_records(payloads)?;
         if batch.is_empty() {
             return Ok(());
         }
@@ -295,16 +276,35 @@ impl Journal {
         self.file.sync_data()
     }
 
-    /// Discards every record (used when a journal belongs to a different
-    /// campaign than the one resuming).
+    /// Replaces the journal at `path` with exactly `payloads` through
+    /// [`write_atomic`] and opens it for appending: a kill at any instant
+    /// leaves the old journal or the new one, never an empty file.
     ///
     /// # Errors
     ///
-    /// Propagates the truncate/sync error.
-    pub fn clear(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.sync_data()
+    /// `InvalidInput` when a payload contains a newline (the old journal
+    /// is untouched); otherwise the write, rename or open error.
+    pub fn rewrite<S: AsRef<str>>(path: impl AsRef<Path>, payloads: &[S]) -> io::Result<Journal> {
+        let path = path.as_ref();
+        write_atomic(path, frame_records(payloads)?.as_bytes())?;
+        Journal::open(path)
     }
+}
+
+/// Frames `payloads` as journal lines: `<crc32> <payload>\n` each.
+pub(crate) fn frame_records<S: AsRef<str>>(payloads: &[S]) -> io::Result<String> {
+    let mut batch = String::new();
+    for payload in payloads {
+        let payload = payload.as_ref();
+        if payload.contains('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "journal records are line-framed and cannot contain newlines",
+            ));
+        }
+        let _ = writeln!(batch, "{:08x} {payload}", crc32(payload.as_bytes()));
+    }
+    Ok(batch)
 }
 
 /// What [`scan_journal`] verified: the records of the longest valid
@@ -330,12 +330,11 @@ impl JournalScan {
 
 /// Verifies one framed line (sans `\n`); returns its payload when the
 /// frame and checksum hold.
-fn verify_record(line: &[u8]) -> Option<String> {
+pub(crate) fn verify_record(line: &[u8]) -> Option<String> {
     if line.len() < 9 || line[8] != b' ' {
         return None;
     }
-    let crc_text = std::str::from_utf8(&line[..8]).ok()?;
-    let expected = u32::from_str_radix(crc_text, 16).ok()?;
+    let expected = hex8(&line[..8])?;
     let payload = &line[9..];
     if crc32(payload) != expected {
         return None;
@@ -393,6 +392,33 @@ pub fn recover_journal(path: impl AsRef<Path>) -> io::Result<(Journal, JournalSc
         file.sync_data()?;
     }
     Ok((Journal::open(path)?, scan))
+}
+
+/// What [`open_headered`] found at a journal path.
+#[derive(Debug)]
+pub enum Headered {
+    /// The header matched: the recovered journal, open for appending, and
+    /// the records after the header.
+    Matched(Journal, Vec<String>),
+    /// A missing, empty or foreign journal's verified records, header
+    /// included. The file is untouched; [`Journal::rewrite`] replaces it.
+    Foreign(Vec<String>),
+}
+
+/// Opens a journal whose first record names its owner (a campaign
+/// header): a match replays, anything else hands back the old records
+/// for salvage.
+///
+/// # Errors
+///
+/// Propagates scan, truncate and open errors.
+pub fn open_headered(path: impl AsRef<Path>, header: &str) -> io::Result<Headered> {
+    let (journal, mut scan) = recover_journal(path)?;
+    if scan.records.first().map(String::as_str) != Some(header) {
+        return Ok(Headered::Foreign(scan.records));
+    }
+    scan.records.remove(0);
+    Ok(Headered::Matched(journal, scan.records))
 }
 
 #[cfg(test)]
@@ -546,15 +572,47 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_the_journal() {
-        let dir = scratch("clear");
+    fn rewrite_replaces_every_record() {
+        let dir = scratch("rewrite");
         let path = dir.join("j.journal");
         let mut journal = Journal::open(&path).unwrap();
         journal.append("old campaign").unwrap();
-        journal.clear().unwrap();
-        journal.append("new campaign").unwrap();
+        let mut journal = Journal::rewrite(&path, &["new campaign", "kept"]).unwrap();
+        journal.append("appended").unwrap();
         let scan = scan_journal(&path).unwrap();
-        assert_eq!(scan.records, vec!["new campaign"]);
+        assert_eq!(scan.records, vec!["new campaign", "kept", "appended"]);
+        // A newline payload rejects the rewrite and keeps the old journal.
+        let err = Journal::rewrite(&path, &["two\nlines"]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(scan_journal(&path).unwrap().records.len(), 3);
+        let entries: Vec<_> = fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(entries.len(), 1, "no temp litter");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_headered_replays_a_match_and_hands_back_a_foreign_journal() {
+        let dir = scratch("headered");
+        let path = dir.join("j.journal");
+        let mut journal = Journal::rewrite(&path, &["campaign a", "one"]).unwrap();
+        journal.append("two").unwrap();
+        let mut raw = OpenOptions::new().append(true).open(&path).unwrap();
+        raw.write_all(b"torn").unwrap();
+        drop(raw);
+        match open_headered(&path, "campaign a").unwrap() {
+            Headered::Matched(mut journal, records) => {
+                assert_eq!(records, vec!["one", "two"]);
+                journal.append("three").unwrap();
+            }
+            Headered::Foreign(_) => panic!("header matches"),
+        }
+        assert!(scan_journal(&path).unwrap().is_clean(), "torn tail cut");
+        match open_headered(&path, "campaign b").unwrap() {
+            Headered::Foreign(records) => {
+                assert_eq!(records, vec!["campaign a", "one", "two", "three"]);
+            }
+            Headered::Matched(..) => panic!("header differs"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

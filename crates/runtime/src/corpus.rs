@@ -28,6 +28,7 @@
 //! scanner like any other torn record.
 
 use crate::atomic_io::{crc32, recover_journal, write_atomic, Journal};
+use crate::record::Fields;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,6 +42,28 @@ pub struct CorpusEntry {
     pub fingerprint: u32,
     /// Subject class the case was discovered against.
     pub class: String,
+}
+
+impl CorpusEntry {
+    /// The manifest record: `case <hash> <fingerprint> <class>`.
+    pub fn encode(&self) -> String {
+        format!(
+            "case {:08x} {:08x} {}",
+            self.hash, self.fingerprint, self.class
+        )
+    }
+
+    /// Decodes a manifest record; `None` for anything
+    /// [`CorpusEntry::encode`] would not write.
+    pub fn decode(record: &str) -> Option<CorpusEntry> {
+        let mut fields = Fields::new(record, ' ');
+        fields.expect("case")?;
+        Some(CorpusEntry {
+            hash: fields.hex()?,
+            fingerprint: fields.hex()?,
+            class: fields.rest()?.to_owned(),
+        })
+    }
 }
 
 /// What [`CorpusStore::load`] recovered for one class.
@@ -78,29 +101,6 @@ pub struct CorpusStore {
     entries: Vec<CorpusEntry>,
 }
 
-fn decode_entry(record: &str) -> Option<CorpusEntry> {
-    let rest = record.strip_prefix("case ")?;
-    let mut parts = rest.splitn(3, ' ');
-    let hash = u32::from_str_radix(parts.next()?, 16).ok()?;
-    let fingerprint = u32::from_str_radix(parts.next()?, 16).ok()?;
-    let class = parts.next()?;
-    if class.is_empty() {
-        return None;
-    }
-    Some(CorpusEntry {
-        hash,
-        fingerprint,
-        class: class.to_owned(),
-    })
-}
-
-fn encode_entry(entry: &CorpusEntry) -> String {
-    format!(
-        "case {:08x} {:08x} {}",
-        entry.hash, entry.fingerprint, entry.class
-    )
-}
-
 impl CorpusStore {
     /// Opens (creating if missing) the corpus at `dir`, recovering the
     /// manifest: a torn tail is truncated, malformed records are skipped.
@@ -115,7 +115,7 @@ impl CorpusStore {
         let entries = scan
             .records
             .iter()
-            .filter_map(|record| decode_entry(record))
+            .filter_map(|record| CorpusEntry::decode(record))
             .collect();
         Ok(CorpusStore {
             dir,
@@ -185,7 +185,7 @@ impl CorpusStore {
             fingerprint,
             class: class.to_owned(),
         };
-        self.manifest.append(&encode_entry(&entry))?;
+        self.manifest.append(&entry.encode())?;
         self.entries.push(entry);
         Ok(true)
     }

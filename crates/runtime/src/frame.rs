@@ -33,48 +33,34 @@
 //! assert_eq!(decoder.push(b), vec!["verdict 3 survived".to_owned()]);
 //! ```
 
-use crate::atomic_io::crc32;
+use crate::atomic_io::{frame_records, verify_record};
+use crate::record::hex8;
 use std::io;
 
-/// Bytes of the `len`/`crc` prefix: two 8-hex-digit fields and their
-/// trailing spaces.
-const PREFIX_LEN: usize = 18;
-
-/// Encodes one payload as a self-checking frame line (newline included).
+/// Encodes one payload as a self-checking frame line (newline included):
+/// its length, then the journal's `crc32 payload` record framing.
 ///
 /// # Errors
 ///
 /// `InvalidInput` when the payload contains a newline — frames are
 /// line-oriented, exactly like journal records.
 pub fn encode_frame(payload: &str) -> io::Result<String> {
-    if payload.contains('\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame payload must not contain newlines",
-        ));
-    }
     Ok(format!(
-        "{:08x} {:08x} {payload}\n",
+        "{:08x} {}",
         payload.len(),
-        crc32(payload.as_bytes())
+        frame_records(&[payload])?
     ))
 }
 
 /// Verifies one complete line (newline already stripped) against its
 /// length/CRC prefix.
 fn verify_frame(line: &[u8]) -> Option<String> {
-    if line.len() < PREFIX_LEN || line[8] != b' ' || line[17] != b' ' {
+    if line.get(8) != Some(&b' ') {
         return None;
     }
-    let len_field = std::str::from_utf8(&line[..8]).ok()?;
-    let crc_field = std::str::from_utf8(&line[9..17]).ok()?;
-    let len = usize::from_str_radix(len_field, 16).ok()?;
-    let crc = u32::from_str_radix(crc_field, 16).ok()?;
-    let payload = &line[PREFIX_LEN..];
-    if payload.len() != len || crc32(payload) != crc {
-        return None;
-    }
-    String::from_utf8(payload.to_vec()).ok()
+    let len = hex8(&line[..8])?;
+    let payload = verify_record(&line[9..])?;
+    (u32::try_from(payload.len()) == Ok(len)).then_some(payload)
 }
 
 /// Incremental frame decoder: feed it pipe chunks in any split, collect

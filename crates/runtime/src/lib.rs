@@ -53,12 +53,14 @@ mod error;
 mod frame;
 mod harden;
 mod literal;
+mod record;
 mod rng;
 mod supervise;
 mod value;
 
 pub use atomic_io::{
-    crc32, recover_journal, scan_journal, write_atomic, AtomicFile, Journal, JournalScan,
+    crc32, open_headered, recover_journal, scan_journal, write_atomic, AtomicFile, Headered,
+    Journal, JournalScan,
 };
 pub use clock::monotonic_nanos;
 pub use component::{args, unknown_method, Component};
@@ -70,6 +72,7 @@ pub use harden::{
     FaultKind, InjectedFault, IoAttempt, IoPolicy, RetryPolicy, Watchdog, DEADLINE_PANIC_PAYLOAD,
 };
 pub use literal::{parse_value_literal, ParseValueError};
+pub use record::{escape_field, hex8, unescape_field, Fields};
 pub use rng::Rng;
 pub use supervise::{classify_exit, terminate_child, wait_with_deadline, ExitClass, Liveness};
 pub use value::{ObjRef, Value, ValueKind};

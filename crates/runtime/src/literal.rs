@@ -33,6 +33,11 @@ fn err(message: impl Into<String>) -> ParseValueError {
     }
 }
 
+/// Deepest list nesting [`parse_value_literal`] accepts: it recurses once
+/// per `[`, so a run of brackets in stored text must not overflow the
+/// stack. Generated arguments are flat lists, far below this.
+const MAX_LIST_DEPTH: usize = 128;
+
 struct Cursor<'a> {
     chars: Peekable<Chars<'a>>,
 }
@@ -48,12 +53,14 @@ impl<'a> Cursor<'a> {
         while self.chars.next_if(|c| c.is_whitespace()).is_some() {}
     }
 
-    fn parse_value(&mut self) -> Result<Value, ParseValueError> {
+    /// Parses one value inside `depth` open lists.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, ParseValueError> {
         self.skip_ws();
         match self.chars.peek().copied() {
             None => Err(err("empty input")),
             Some('"') => self.parse_string(),
-            Some('[') => self.parse_list(),
+            Some('[') if depth == MAX_LIST_DEPTH => Err(err("lists nest too deep")),
+            Some('[') => self.parse_list(depth + 1),
             Some('&') => self.parse_obj(),
             Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => self.parse_number(),
             Some(c) if c.is_ascii_alphabetic() => self.parse_word(),
@@ -167,7 +174,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_list(&mut self) -> Result<Value, ParseValueError> {
+    fn parse_list(&mut self, depth: usize) -> Result<Value, ParseValueError> {
         self.chars.next(); // '['
         let mut items = Vec::new();
         self.skip_ws();
@@ -175,7 +182,7 @@ impl<'a> Cursor<'a> {
             return Ok(Value::List(items));
         }
         loop {
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_ws();
             match self.chars.next() {
                 Some(',') => continue,
@@ -223,7 +230,7 @@ impl<'a> Cursor<'a> {
 /// ```
 pub fn parse_value_literal(s: &str) -> Result<Value, ParseValueError> {
     let mut cur = Cursor::new(s);
-    let v = cur.parse_value()?;
+    let v = cur.parse_value(0)?;
     cur.skip_ws();
     if cur.chars.next().is_some() {
         return Err(err("trailing characters after value"));
@@ -300,6 +307,16 @@ mod tests {
         assert!(parse_value_literal("1 trailing").is_err());
         assert!(parse_value_literal("&:key").is_err());
         assert!(parse_value_literal("@wat").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value_literal(&nested(MAX_LIST_DEPTH)).is_ok());
+        let err = parse_value_literal(&nested(MAX_LIST_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nest"), "{err}");
+        // Unclosed brackets far past the bound are refused, not recursed.
+        assert!(parse_value_literal(&"[".repeat(10_000)).is_err());
     }
 
     #[test]
