@@ -275,7 +275,8 @@ pub fn load_suite(text: &str) -> Result<TestSuite, PersistError> {
     let mut seed = 0u64;
     let mut stats = SuiteStats::default();
     let mut cases: Vec<TestCase> = Vec::new();
-    let mut current: Option<TestCase> = None;
+    // The open case, and whether its `ctor` line was read.
+    let mut current: Option<(TestCase, bool)> = None;
 
     for (line_no, keyword, rest) in keyed_lines(text).filter(|(_, k, _)| !k.starts_with('#')) {
         match keyword {
@@ -301,24 +302,30 @@ pub fn load_suite(text: &str) -> Result<TestSuite, PersistError> {
                 }
                 let (id, transaction_index, node_path) =
                     parse_indexed_list(rest, line_no, "node path")?;
-                current = Some(TestCase {
+                let case = TestCase {
                     id,
                     transaction_index,
                     node_path,
                     constructor: MethodCall::generated("", "", vec![]),
                     calls: Vec::new(),
-                });
+                };
+                current = Some((case, false));
             }
             "ctor" => match current.as_mut() {
-                Some(case) => case.constructor = parse_call(rest, line_no)?,
+                Some((_, true)) => return Err(perr(line_no, "second ctor in a case")),
+                Some((case, has_ctor)) => {
+                    case.constructor = parse_call(rest, line_no)?;
+                    *has_ctor = true;
+                }
                 None => return Err(perr(line_no, "ctor outside a case")),
             },
             "call" => match current.as_mut() {
-                Some(case) => case.calls.push(parse_call(rest, line_no)?),
+                Some((case, _)) => case.calls.push(parse_call(rest, line_no)?),
                 None => return Err(perr(line_no, "call outside a case")),
             },
             "endcase" => match current.take() {
-                Some(case) => cases.push(case),
+                Some((case, true)) => cases.push(case),
+                Some((_, false)) => return Err(perr(line_no, "case has no ctor")),
                 None => return Err(perr(line_no, "endcase without a case")),
             },
             other => return Err(perr(line_no, format!("unknown record `{other}`"))),
@@ -470,6 +477,15 @@ mod tests {
             .unwrap_err()
             .message
             .contains("unterminated"));
+        // A case holds exactly one ctor line.
+        let one = "suite C\ncase 0 0 [\"n1\"]\nctor m1 C - []\nendcase";
+        assert_eq!(load_suite(one).unwrap().cases.len(), 1);
+        assert!(load_suite("suite C\ncase 0 0 [\"n1\"]\nendcase")
+            .unwrap_err()
+            .message
+            .contains("no ctor"));
+        let two = "suite C\ncase 0 0 [\"n1\"]\nctor m1 C - []\nctor m2 C - []\nendcase";
+        assert!(load_suite(two).unwrap_err().message.contains("second ctor"));
         assert!(load_suite("seed 1")
             .unwrap_err()
             .message

@@ -1,5 +1,5 @@
-//! Fault-tolerant campaign orchestration: many campaigns, one supervised
-//! scheduler.
+//! Fault-tolerant campaign orchestration: many campaigns, one fleet of
+//! slots.
 //!
 //! [`run_mutation_analysis_parallel`](crate::run_mutation_analysis_parallel)
 //! runs *one* campaign to completion and returns. A component vendor
@@ -7,7 +7,7 @@
 //! once, and must not let one pathological subject starve, corrupt, or
 //! take down the rest. The [`Orchestrator`] is the layer above the
 //! per-campaign machinery: a long-running service owning a global fleet
-//! of slot workers that multiplexes mutants from every active campaign.
+//! of slot threads that multiplexes mutants from every active campaign.
 //!
 //! * **Queue** — [`Orchestrator::submit`] / [`Orchestrator::status`] /
 //!   [`Orchestrator::cancel`] / [`Orchestrator::list`]. Each submitted
@@ -15,10 +15,15 @@
 //!   journal path, isolation), a priority, and an optional campaign-level
 //!   mutant budget. Admission is bounded: a full queue rejects with
 //!   [`SubmitError::QueueFull`] instead of growing without limit.
-//! * **Scheduler** — work-stealing over fleet slots: any free slot takes
-//!   a lease of mutants from any runnable campaign. Fairness is
-//!   starvation-free by aging (a campaign passed over gains effective
-//!   priority each round), so a low-priority campaign always progresses.
+//! * **Scheduler** — all fleet state (every campaign's phase and ledger)
+//!   sits in one mutex. Each slot locks it, pulls its own work (prepare
+//!   the oldest queued campaign, else lease from the runnable campaign
+//!   with the highest aged priority), runs that work unlocked, and books
+//!   the result under the lock again — the solo engine's slot loop over
+//!   many ledgers. Fairness is starvation-free by aging (a campaign
+//!   passed over gains effective priority each round), so a
+//!   low-priority campaign always progresses. An idle slot sleeps on the
+//!   fleet's condvar, as does [`Orchestrator::wait`].
 //! * **Isolation of failure** — a crashed or hung lease costs its owning
 //!   campaign exactly the in-flight mutant (the campaign ledger's
 //!   retry-once-then-quarantine ladder, shared with solo runs), a cancelled campaign tears down
@@ -56,13 +61,9 @@ use concat_runtime::CancelToken;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long the supervisor blocks on its channel before waking to
-/// schedule and emit the fleet heartbeat.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
 
 /// Minimum spacing of `orchestrator.progress` heartbeats.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
@@ -130,9 +131,6 @@ pub struct OrchestratorConfig {
     /// `orchestrator.progress` snapshot. Per-campaign telemetry lives on
     /// each request's [`MutationConfig::telemetry`]. Disabled by default.
     pub telemetry: Telemetry,
-    /// Install a process-global silent panic hook for the service's
-    /// lifetime (mutant panics are expected kill signals, not noise).
-    pub silence_panics: bool,
 }
 
 impl Default for OrchestratorConfig {
@@ -142,7 +140,6 @@ impl Default for OrchestratorConfig {
             capacity: 16,
             lease_size: 8,
             telemetry: Telemetry::disabled(),
-            silence_panics: true,
         }
     }
 }
@@ -207,8 +204,6 @@ pub enum SubmitError {
         /// The configured admission bound.
         capacity: usize,
     },
-    /// The service has shut down (or its supervisor died).
-    ServiceStopped,
 }
 
 impl fmt::Display for SubmitError {
@@ -217,7 +212,6 @@ impl fmt::Display for SubmitError {
             SubmitError::QueueFull { capacity } => {
                 write!(f, "campaign queue full (capacity {capacity})")
             }
-            SubmitError::ServiceStopped => write!(f, "orchestrator stopped"),
         }
     }
 }
@@ -373,56 +367,7 @@ struct CampaignRuntime {
     spec: Option<ProcessIsolation>,
 }
 
-/// Client → supervisor commands.
-enum Command {
-    Submit(
-        Box<CampaignRequest>,
-        mpsc::Sender<Result<CampaignId, SubmitError>>,
-    ),
-    Cancel(CampaignId, mpsc::Sender<bool>),
-    Status(CampaignId, mpsc::Sender<Option<CampaignStatus>>),
-    List(mpsc::Sender<Vec<CampaignStatus>>),
-    Wait(CampaignId, mpsc::Sender<Option<CampaignOutcome>>),
-    Shutdown(mpsc::Sender<Vec<CampaignStatus>>),
-}
-
-/// Everything the supervisor receives: commands and slot events, one
-/// channel so per-slot FIFO ordering (verdicts before lease end) holds.
-enum Msg {
-    Cmd(Command),
-    Prepared {
-        slot: usize,
-        id: CampaignId,
-        baseline: Option<Box<GoldenBaseline>>,
-        events: Vec<Event>,
-    },
-    Verdict {
-        slot: usize,
-        id: CampaignId,
-        index: usize,
-        status: MutantStatus,
-    },
-    LeaseEnded {
-        slot: usize,
-        id: CampaignId,
-        outcome: LeaseOutcome,
-        events: Vec<Event>,
-    },
-}
-
-/// Supervisor → slot worker commands.
-enum SlotCmd {
-    Prepare {
-        data: Arc<CampaignData>,
-    },
-    Lease {
-        rt: Arc<CampaignRuntime>,
-        indices: Vec<usize>,
-    },
-    Shutdown,
-}
-
-/// Supervisor-side state of one campaign.
+/// Fleet-side state of one campaign.
 struct Campaign {
     data: Arc<CampaignData>,
     name: String,
@@ -435,6 +380,7 @@ struct Campaign {
     /// at finalization.
     ledger: Option<CampaignLedger>,
     executed: u64,
+    /// Slots running this campaign's preparation or leases.
     active_leases: usize,
     /// Crash backoff: no new lease for this campaign before this instant.
     next_lease_at: Instant,
@@ -444,7 +390,6 @@ struct Campaign {
     /// The terminal phase to enter once in-flight leases stand down.
     pending_end: Option<CampaignPhase>,
     outcome: Option<CampaignOutcome>,
-    waiters: Vec<mpsc::Sender<Option<CampaignOutcome>>>,
     /// Campaign root span on the campaign's own telemetry; lease event
     /// streams are grafted under it.
     root: Option<Span>,
@@ -488,84 +433,126 @@ impl Campaign {
 }
 
 // ---------------------------------------------------------------------
-// Slot workers
+// Slots
 // ---------------------------------------------------------------------
 
-/// A slot worker's main loop: block for a command, run it, report back.
-/// The worker thread is persistent — lease bodies contain their panics,
-/// so no campaign can cost the fleet a slot.
-fn slot_main(slot: usize, rx: mpsc::Receiver<SlotCmd>, tx: mpsc::Sender<Msg>) {
-    while let Ok(cmd) = rx.recv() {
-        let sent = match cmd {
-            SlotCmd::Prepare { data } => {
-                let (sink, telemetry) = lease_telemetry(&data.config.telemetry);
-                let baseline = catch_unwind(AssertUnwindSafe(|| {
-                    let switch = MutationSwitch::with_cancel_token(data.token.child());
-                    let factory = data.shards.build_factory(&switch);
-                    let runner = build_runner(&data.config, &telemetry, &switch);
-                    crate::analysis::run_golden(
-                        &runner,
-                        factory.as_ref(),
-                        &data.suite,
-                        &data.mutants,
-                        &data.config,
-                        &telemetry,
-                    )
-                }))
-                .ok()
-                .map(Box::new);
-                tx.send(Msg::Prepared {
-                    slot,
-                    id: data.id,
-                    baseline,
-                    events: sink.map(|s| s.events()).unwrap_or_default(),
-                })
-            }
-            SlotCmd::Lease { rt, indices } => {
-                let (sink, telemetry) = lease_telemetry(&rt.data.config.telemetry);
-                let id = rt.data.id;
-                let lease_span = telemetry.span_with("lease", || {
-                    let mode = if rt.spec.is_some() {
-                        "process"
-                    } else {
-                        "thread"
-                    };
-                    format!("{id} {mode}")
-                });
-                let scoped = telemetry.at(lease_span.id());
-                let mut forward = |index: usize, status: MutantStatus| {
-                    let _ = tx.send(Msg::Verdict {
-                        slot,
-                        id,
-                        index,
-                        status,
-                    });
-                };
-                let outcome = match &rt.spec {
-                    Some(spec) => process_lease(
-                        spec,
-                        rt.fingerprint,
-                        &indices,
-                        &rt.data.token,
-                        &scoped,
-                        &mut forward,
-                    ),
-                    None => thread_lease(&rt, &indices, &scoped, &mut forward),
-                };
-                lease_span.finish();
-                tx.send(Msg::LeaseEnded {
-                    slot,
-                    id,
-                    outcome,
-                    events: sink.map(|s| s.events()).unwrap_or_default(),
-                })
-            }
-            SlotCmd::Shutdown => return,
-        };
-        if sent.is_err() {
-            return;
+/// The fleet behind its one lock, and the condvar idle slots and
+/// [`Orchestrator::wait`] callers sleep on. It is notified whenever work
+/// may have appeared or a campaign may have ended.
+struct Shared {
+    fleet: Mutex<Fleet>,
+    wake: Condvar,
+}
+
+impl Shared {
+    /// Locks the fleet. Nothing panics while holding it, but should a
+    /// poisoned lock ever appear, its campaigns are still the fleet's.
+    fn lock(&self) -> MutexGuard<'_, Fleet> {
+        self.fleet.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Releases the fleet until notified, or for at most `timeout`.
+    fn sleep<'a>(
+        &self,
+        fleet: MutexGuard<'a, Fleet>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, Fleet> {
+        match timeout {
+            Some(timeout) => self
+                .wake
+                .wait_timeout(fleet, timeout)
+                .map_or_else(|poisoned| poisoned.into_inner().0, |(fleet, _)| fleet),
+            None => self
+                .wake
+                .wait(fleet)
+                .unwrap_or_else(PoisonError::into_inner),
         }
     }
+}
+
+/// A slot's loop: pull work from the fleet under its lock, run it
+/// unlocked, book the result under the lock and wake every sleeper —
+/// until the service shuts down. The thread is persistent: preparation
+/// and lease bodies contain their panics, so no campaign can cost the
+/// fleet a slot.
+fn slot_loop(shared: &Shared, slot: usize) {
+    let mut fleet = shared.lock();
+    while !fleet.shutting_down {
+        fleet.heartbeat();
+        if let Some(data) = fleet.take_prepare() {
+            drop(fleet);
+            let (baseline, events) = prepare(&data);
+            fleet = shared.lock();
+            fleet.handle_prepared(data.id, baseline, &events);
+        } else if let Some((rt, lease)) = fleet.take_lease() {
+            drop(fleet);
+            let (outcome, events) = run_lease(shared, slot, &rt, &lease);
+            fleet = shared.lock();
+            fleet.handle_lease_ended(slot, rt.data.id, &lease, &outcome, &events);
+        } else {
+            let backoff = fleet.next_backoff(Instant::now());
+            fleet = shared.sleep(fleet, backoff);
+            continue;
+        }
+        shared.wake.notify_all();
+    }
+}
+
+/// Runs a campaign's golden baseline on a private harness; `None` when
+/// it panicked.
+fn prepare(data: &CampaignData) -> (Option<GoldenBaseline>, Vec<Event>) {
+    let (sink, telemetry) = lease_telemetry(&data.config.telemetry);
+    let baseline = catch_unwind(AssertUnwindSafe(|| {
+        let switch = MutationSwitch::with_cancel_token(data.token.child());
+        let factory = data.shards.build_factory(&switch);
+        let runner = build_runner(&data.config, &telemetry, &switch);
+        crate::analysis::run_golden(
+            &runner,
+            factory.as_ref(),
+            &data.suite,
+            &data.mutants,
+            &data.config,
+            &telemetry,
+        )
+    }))
+    .ok();
+    (baseline, sink.map(|s| s.events()).unwrap_or_default())
+}
+
+/// Runs one thread or process lease. Each verdict is merged under the
+/// fleet lock as it lands, like a solo slot's merge into its shared
+/// ledger.
+fn run_lease(
+    shared: &Shared,
+    slot: usize,
+    rt: &CampaignRuntime,
+    lease: &[usize],
+) -> (LeaseOutcome, Vec<Event>) {
+    let (sink, telemetry) = lease_telemetry(&rt.data.config.telemetry);
+    let id = rt.data.id;
+    let lease_span = telemetry.span_with("lease", || {
+        let mode = if rt.spec.is_some() {
+            "process"
+        } else {
+            "thread"
+        };
+        format!("{id} {mode}")
+    });
+    let scoped = telemetry.at(lease_span.id());
+    let mut merge = |index, status| shared.lock().handle_verdict(slot, id, index, status);
+    let outcome = match &rt.spec {
+        Some(spec) => process_lease(
+            spec,
+            rt.fingerprint,
+            lease,
+            &rt.data.token,
+            &scoped,
+            &mut merge,
+        ),
+        None => thread_lease(rt, lease, &scoped, &mut merge),
+    };
+    lease_span.finish();
+    (outcome, sink.map(|s| s.events()).unwrap_or_default())
 }
 
 /// A private event buffer for one lease, absorbed under the campaign
@@ -611,126 +598,22 @@ fn thread_lease(
 }
 
 // ---------------------------------------------------------------------
-// Supervisor
+// The fleet
 // ---------------------------------------------------------------------
 
-struct Supervisor {
+/// Every campaign and the service's own state: what slots and client
+/// calls read and write under the one lock.
+struct Fleet {
     config: OrchestratorConfig,
     service_token: CancelToken,
-    rx: mpsc::Receiver<Msg>,
-    slot_tx: Vec<mpsc::Sender<SlotCmd>>,
-    slot_handles: Vec<std::thread::JoinHandle<()>>,
-    /// Per slot: the campaign and indices of the lease it is running.
-    slot_lease: Vec<Option<(CampaignId, Vec<usize>)>>,
     campaigns: HashMap<CampaignId, Campaign>,
     next_id: u64,
     shutting_down: bool,
-    shutdown_reply: Option<mpsc::Sender<Vec<CampaignStatus>>>,
     last_fleet_beat: Instant,
 }
 
-impl Supervisor {
-    fn run(mut self) {
-        let _hook_guard = self.config.silence_panics.then(PanicSilencer::install);
-        loop {
-            match self.rx.recv_timeout(SUPERVISOR_POLL) {
-                Ok(msg) => self.handle(msg),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-            // Drain bursts without blocking so verdict floods never
-            // outpace the scheduler.
-            while let Ok(msg) = self.rx.try_recv() {
-                self.handle(msg);
-            }
-            self.schedule();
-            self.heartbeats();
-            if self.shutting_down && self.slot_lease.iter().all(|l| l.is_none()) {
-                self.finish_shutdown();
-                return;
-            }
-        }
-    }
-
-    fn handle(&mut self, msg: Msg) {
-        match msg {
-            Msg::Cmd(cmd) => self.handle_cmd(cmd),
-            Msg::Prepared {
-                slot,
-                id,
-                baseline,
-                events,
-            } => self.handle_prepared(slot, id, baseline, events),
-            Msg::Verdict {
-                slot,
-                id,
-                index,
-                status,
-            } => self.handle_verdict(slot, id, index, status),
-            Msg::LeaseEnded {
-                slot,
-                id,
-                outcome,
-                events,
-            } => self.handle_lease_ended(slot, id, outcome, events),
-        }
-    }
-
-    fn handle_cmd(&mut self, cmd: Command) {
-        match cmd {
-            Command::Submit(request, reply) => {
-                let _ = reply.send(self.admit(*request));
-            }
-            Command::Cancel(id, reply) => {
-                let _ = reply.send(self.cancel(id));
-            }
-            Command::Status(id, reply) => {
-                let _ = reply.send(self.campaigns.get(&id).map(Campaign::status));
-            }
-            Command::List(reply) => {
-                let mut statuses: Vec<CampaignStatus> =
-                    self.campaigns.values().map(Campaign::status).collect();
-                statuses.sort_by_key(|s| s.id);
-                let _ = reply.send(statuses);
-            }
-            Command::Wait(id, reply) => match self.campaigns.get_mut(&id) {
-                Some(campaign) => match &campaign.outcome {
-                    Some(outcome) => {
-                        let _ = reply.send(Some(outcome.clone()));
-                    }
-                    None => campaign.waiters.push(reply),
-                },
-                None => {
-                    let _ = reply.send(None);
-                }
-            },
-            Command::Shutdown(reply) => {
-                self.shutting_down = true;
-                self.shutdown_reply = Some(reply);
-                self.service_token.cancel();
-                let ids: Vec<CampaignId> = self.campaigns.keys().copied().collect();
-                for id in ids {
-                    let campaign = match self.campaigns.get_mut(&id) {
-                        Some(c) if !c.phase.is_terminal() => c,
-                        _ => continue,
-                    };
-                    if campaign.pending_end.is_none() {
-                        campaign.pending_end = Some(CampaignPhase::Cancelled);
-                    }
-                    if campaign.active_leases == 0 {
-                        self.finalize(id);
-                    } else {
-                        campaign.phase = CampaignPhase::Draining;
-                    }
-                }
-            }
-        }
-    }
-
+impl Fleet {
     fn admit(&mut self, request: CampaignRequest) -> Result<CampaignId, SubmitError> {
-        if self.shutting_down {
-            return Err(SubmitError::ServiceStopped);
-        }
         let live = self
             .campaigns
             .values()
@@ -771,7 +654,6 @@ impl Supervisor {
             starved: 0,
             pending_end: None,
             outcome: None,
-            waiters: Vec::new(),
             root: Some(root),
             telemetry: scoped,
         };
@@ -789,37 +671,100 @@ impl Supervisor {
         }
         self.config.telemetry.incr("orchestrator.cancelled");
         campaign.data.token.cancel();
-        if campaign.pending_end.is_none() {
-            campaign.pending_end = Some(CampaignPhase::Cancelled);
-        }
+        campaign.pending_end.get_or_insert(CampaignPhase::Cancelled);
+        self.settle(id);
+        true
+    }
+
+    /// Enters `id`'s pending terminal phase now when no lease of it is in
+    /// flight; else drains it until the last one stands down.
+    fn settle(&mut self, id: CampaignId) {
+        let Some(campaign) = self.campaigns.get_mut(&id) else {
+            return;
+        };
         if campaign.active_leases == 0 {
             self.finalize(id);
         } else {
             campaign.phase = CampaignPhase::Draining;
         }
-        true
+    }
+
+    /// Claims the oldest queued campaign for its golden run: queued
+    /// campaigns prepare in submit order, before any lease.
+    fn take_prepare(&mut self) -> Option<Arc<CampaignData>> {
+        let campaign = self
+            .campaigns
+            .values_mut()
+            .filter(|c| c.phase == CampaignPhase::Queued)
+            .min_by_key(|c| c.data.id)?;
+        campaign.phase = CampaignPhase::Preparing;
+        campaign.active_leases += 1;
+        Some(campaign.data.clone())
+    }
+
+    /// Work stealing with aged priorities: leases from the runnable
+    /// campaign with the highest effective priority; ties go to the
+    /// campaign with fewer leases in flight, then to the older campaign.
+    fn take_lease(&mut self) -> Option<(Arc<CampaignRuntime>, Vec<usize>)> {
+        let now = Instant::now();
+        let id = self
+            .campaigns
+            .values()
+            .filter(|c| c.runnable(now))
+            .max_by_key(|c| {
+                (
+                    u64::from(c.priority) + u64::from(c.starved),
+                    std::cmp::Reverse(c.active_leases),
+                    std::cmp::Reverse(c.data.id),
+                )
+            })?
+            .data
+            .id;
+        // Aging: everyone else runnable gains a round.
+        for campaign in self.campaigns.values_mut() {
+            if campaign.data.id != id && campaign.runnable(now) {
+                campaign.starved = campaign.starved.saturating_add(1);
+            }
+        }
+        let campaign = self.campaigns.get_mut(&id)?;
+        campaign.starved = 0;
+        let (Some(ledger), Some(rt)) = (&mut campaign.ledger, &campaign.rt) else {
+            return None;
+        };
+        let lease = ledger.take_lease(self.config.lease_size.max(1));
+        if lease.is_empty() {
+            return None;
+        }
+        let rt = rt.clone();
+        campaign.active_leases += 1;
+        self.config.telemetry.incr("orchestrator.leases");
+        Some((rt, lease))
+    }
+
+    /// How long until the earliest crash backoff ends, when a campaign
+    /// is runnable but for its backoff.
+    fn next_backoff(&self, now: Instant) -> Option<Duration> {
+        self.campaigns
+            .values()
+            .filter(|c| c.next_lease_at > now && c.runnable(c.next_lease_at))
+            .map(|c| c.next_lease_at - now)
+            .min()
     }
 
     fn handle_prepared(
         &mut self,
-        slot: usize,
         id: CampaignId,
-        baseline: Option<Box<GoldenBaseline>>,
-        events: Vec<Event>,
+        baseline: Option<GoldenBaseline>,
+        events: &[Event],
     ) {
-        self.slot_lease[slot] = None;
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return;
         };
         campaign.active_leases -= 1;
-        absorb_lease(campaign, &events);
+        absorb_lease(campaign, events);
         if campaign.phase == CampaignPhase::Draining || campaign.data.token.is_cancelled() {
-            if campaign.pending_end.is_none() {
-                campaign.pending_end = Some(CampaignPhase::Cancelled);
-            }
-            if campaign.active_leases == 0 {
-                self.finalize(id);
-            }
+            campaign.pending_end.get_or_insert(CampaignPhase::Cancelled);
+            self.settle(id);
             return;
         }
         let Some(baseline) = baseline else {
@@ -864,7 +809,7 @@ impl Supervisor {
         };
         campaign.rt = Some(Arc::new(CampaignRuntime {
             data,
-            baseline: *baseline,
+            baseline,
             fingerprint,
             spec,
         }));
@@ -932,37 +877,29 @@ impl Supervisor {
                 ("queued".to_owned(), queued as i64),
             ]
         });
-        if campaign.active_leases == 0 {
-            self.finalize(id);
-        } else {
-            campaign.phase = CampaignPhase::Draining;
-        }
+        self.settle(id);
     }
 
     fn handle_lease_ended(
         &mut self,
         slot: usize,
         id: CampaignId,
-        outcome: LeaseOutcome,
-        events: Vec<Event>,
+        lease: &[usize],
+        outcome: &LeaseOutcome,
+        events: &[Event],
     ) {
-        let lease = self.slot_lease[slot].take();
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return;
         };
         campaign.active_leases -= 1;
-        absorb_lease(campaign, &events);
-        let indices = match lease {
-            Some((lease_id, indices)) if lease_id == id => indices,
-            _ => Vec::new(),
-        };
+        absorb_lease(campaign, events);
         if let Some(ledger) = &mut campaign.ledger {
             if campaign.phase != CampaignPhase::Running {
                 // A draining campaign books no deaths: its journal keeps
                 // exactly the verified prefix a resume replays.
-                ledger.release(&indices);
+                ledger.release(lease);
             } else {
-                match ledger.lease_ended(slot, &indices, &outcome) {
+                match ledger.lease_ended(slot, lease, outcome) {
                     Ruling::Continue(backoff) => campaign.next_lease_at = Instant::now() + backoff,
                     // The fleet keeps leasing past the restart budget;
                     // the ledger has flagged the exhaustion.
@@ -978,15 +915,13 @@ impl Supervisor {
         if campaign.phase == CampaignPhase::Running && campaign.unfinished() == 0 {
             campaign.pending_end = Some(CampaignPhase::Completed);
         }
-        if campaign.pending_end.is_some() && campaign.active_leases == 0 {
-            self.finalize(id);
-        } else if campaign.pending_end.is_some() {
-            campaign.phase = CampaignPhase::Draining;
+        if campaign.pending_end.is_some() {
+            self.settle(id);
         }
     }
 
     /// Moves a campaign into its pending terminal phase, builds its
-    /// outcome, wakes waiters, and releases its runtime.
+    /// outcome, and releases its runtime.
     fn finalize(&mut self, id: CampaignId) {
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return;
@@ -1038,15 +973,11 @@ impl Supervisor {
             }
             _ => CampaignEnd::Cancelled,
         };
-        let outcome = CampaignOutcome {
+        campaign.outcome = Some(CampaignOutcome {
             id,
             name: campaign.name.clone(),
             end,
-        };
-        for waiter in campaign.waiters.drain(..) {
-            let _ = waiter.send(Some(outcome.clone()));
-        }
-        campaign.outcome = Some(outcome);
+        });
         // Release the heavyweight state; the journal (closed here) was
         // fsynced per append, so the campaign is already checkpointed.
         campaign.rt = None;
@@ -1058,132 +989,66 @@ impl Supervisor {
         }
     }
 
-    /// Hands free slots leases: queued campaigns prepare first (FIFO),
-    /// then the runnable campaign with the highest aged priority wins.
-    fn schedule(&mut self) {
-        if self.shutting_down {
+    /// The fleet heartbeat, at most every [`HEARTBEAT_INTERVAL`]; each
+    /// campaign's ledger beats on its own merges.
+    fn heartbeat(&mut self) {
+        let now = Instant::now();
+        if !self.config.telemetry.is_enabled()
+            || now.duration_since(self.last_fleet_beat) < HEARTBEAT_INTERVAL
+        {
             return;
         }
-        let now = Instant::now();
-        for slot in 0..self.slot_tx.len() {
-            if self.slot_lease[slot].is_some() {
-                continue;
+        self.last_fleet_beat = now;
+        let active = self
+            .campaigns
+            .values()
+            .filter(|c| !c.phase.is_terminal())
+            .count() as i64;
+        let queued = self
+            .campaigns
+            .values()
+            .filter(|c| c.phase == CampaignPhase::Queued)
+            .count() as i64;
+        // Every preparation or lease in flight occupies one slot.
+        let busy: usize = self.campaigns.values().map(|c| c.active_leases).sum();
+        self.config.telemetry.snapshot("orchestrator.progress", || {
+            vec![
+                ("active".to_owned(), active),
+                ("queued".to_owned(), queued),
+                ("busy_slots".to_owned(), busy as i64),
+            ]
+        });
+    }
+
+    /// Stops scheduling: cancels the service token and walks every live
+    /// campaign to `Cancelled` — at once when idle, else once its
+    /// in-flight leases stand down.
+    fn begin_shutdown(&mut self) {
+        self.shutting_down = true;
+        self.service_token.cancel();
+        for id in self.live() {
+            if let Some(campaign) = self.campaigns.get_mut(&id) {
+                campaign.pending_end.get_or_insert(CampaignPhase::Cancelled);
             }
-            // Queued campaigns prepare in submit order.
-            let queued = self
-                .campaigns
-                .values()
-                .filter(|c| c.phase == CampaignPhase::Queued)
-                .map(|c| c.data.id)
-                .min();
-            if let Some(id) = queued {
-                if let Some(campaign) = self.campaigns.get_mut(&id) {
-                    campaign.phase = CampaignPhase::Preparing;
-                    campaign.active_leases += 1;
-                    self.slot_lease[slot] = Some((id, Vec::new()));
-                    let data = campaign.data.clone();
-                    let _ = self.slot_tx[slot].send(SlotCmd::Prepare { data });
-                }
-                continue;
-            }
-            // Work stealing with aged priorities: highest effective
-            // priority wins; ties go to the campaign with fewer leases in
-            // flight, then to the older campaign.
-            let winner = self
-                .campaigns
-                .values()
-                .filter(|c| c.runnable(now))
-                .max_by_key(|c| {
-                    (
-                        u64::from(c.priority) + u64::from(c.starved),
-                        std::cmp::Reverse(c.active_leases),
-                        std::cmp::Reverse(c.data.id),
-                    )
-                })
-                .map(|c| c.data.id);
-            let Some(id) = winner else {
-                continue;
-            };
-            // Aging: everyone else runnable gains a round.
-            for campaign in self.campaigns.values_mut() {
-                if campaign.data.id != id && campaign.runnable(now) {
-                    campaign.starved = campaign.starved.saturating_add(1);
-                }
-            }
-            let lease_size = self.config.lease_size.max(1);
-            let Some(campaign) = self.campaigns.get_mut(&id) else {
-                continue;
-            };
-            campaign.starved = 0;
-            let (Some(ledger), Some(rt)) = (&mut campaign.ledger, campaign.rt.clone()) else {
-                continue;
-            };
-            let indices = ledger.take_lease(lease_size);
-            if indices.is_empty() {
-                continue;
-            }
-            campaign.active_leases += 1;
-            self.slot_lease[slot] = Some((id, indices.clone()));
-            self.config.telemetry.incr("orchestrator.leases");
-            let _ = self.slot_tx[slot].send(SlotCmd::Lease { rt, indices });
+            self.settle(id);
         }
     }
 
-    /// The fleet heartbeat; each campaign's ledger beats on its own
-    /// merges.
-    fn heartbeats(&mut self) {
-        let now = Instant::now();
-        if self.config.telemetry.is_enabled()
-            && now.duration_since(self.last_fleet_beat) >= HEARTBEAT_INTERVAL
-        {
-            self.last_fleet_beat = now;
-            let active = self
-                .campaigns
-                .values()
-                .filter(|c| !c.phase.is_terminal())
-                .count() as i64;
-            let queued = self
-                .campaigns
-                .values()
-                .filter(|c| c.phase == CampaignPhase::Queued)
-                .count() as i64;
-            let busy = self.slot_lease.iter().filter(|l| l.is_some()).count() as i64;
-            self.config.telemetry.snapshot("orchestrator.progress", || {
-                vec![
-                    ("active".to_owned(), active),
-                    ("queued".to_owned(), queued),
-                    ("busy_slots".to_owned(), busy),
-                ]
-            });
-        }
+    /// The ids of every non-terminal campaign.
+    fn live(&self) -> Vec<CampaignId> {
+        self.campaigns
+            .values()
+            .filter(|c| !c.phase.is_terminal())
+            .map(|c| c.data.id)
+            .collect()
     }
 
-    /// Every slot is idle and the service is stopping: finalize what's
-    /// left, answer the shutdown caller, and retire the fleet.
-    fn finish_shutdown(&mut self) {
-        let ids: Vec<CampaignId> = self.campaigns.keys().copied().collect();
-        for id in ids {
-            let terminal = self
-                .campaigns
-                .get(&id)
-                .map(|c| c.phase.is_terminal())
-                .unwrap_or(true);
-            if !terminal {
-                self.finalize(id);
-            }
-        }
+    /// Every campaign's status, in submit order.
+    fn statuses(&self) -> Vec<CampaignStatus> {
         let mut statuses: Vec<CampaignStatus> =
             self.campaigns.values().map(Campaign::status).collect();
         statuses.sort_by_key(|s| s.id);
-        if let Some(reply) = self.shutdown_reply.take() {
-            let _ = reply.send(statuses);
-        }
-        for tx in &self.slot_tx {
-            let _ = tx.send(SlotCmd::Shutdown);
-        }
-        for handle in self.slot_handles.drain(..) {
-            let _ = handle.join();
-        }
+        statuses
     }
 }
 
@@ -1218,51 +1083,43 @@ fn absorb_lease(campaign: &Campaign, events: &[Event]) {
 /// let _statuses = service.shutdown();
 /// ```
 pub struct Orchestrator {
-    tx: mpsc::Sender<Msg>,
-    supervisor: Option<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    slots: Vec<JoinHandle<()>>,
     service_token: CancelToken,
+    /// Mutant panics are expected kill signals, not noise: the panic
+    /// hook stays silent for the service's lifetime.
+    _silencer: PanicSilencer,
 }
 
 impl Orchestrator {
-    /// Starts the service: one supervisor thread plus `config.slots`
-    /// persistent slot workers.
+    /// Starts the service: `config.slots` persistent slot threads.
     pub fn start(config: OrchestratorConfig) -> Orchestrator {
+        let silencer = PanicSilencer::install();
         let slots = config.slots.max(1);
-        let service_token = CancelToken::new();
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let mut slot_tx = Vec::with_capacity(slots);
-        let mut slot_handles = Vec::with_capacity(slots);
-        for slot in 0..slots {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<SlotCmd>();
-            let msg_tx = tx.clone();
-            slot_tx.push(cmd_tx);
-            slot_handles.push(std::thread::spawn(move || {
-                slot_main(slot, cmd_rx, msg_tx);
-            }));
-        }
         config.telemetry.gauge("orchestrator.slots", slots as i64);
-        let supervisor = Supervisor {
-            config,
-            service_token: service_token.clone(),
-            rx,
-            slot_tx,
-            slot_handles,
-            slot_lease: {
-                let mut v = Vec::new();
-                v.resize_with(slots, || None);
-                v
-            },
-            campaigns: HashMap::new(),
-            next_id: 1,
-            shutting_down: false,
-            shutdown_reply: None,
-            last_fleet_beat: Instant::now(),
-        };
-        let handle = std::thread::spawn(move || supervisor.run());
+        let service_token = CancelToken::new();
+        let shared = Arc::new(Shared {
+            fleet: Mutex::new(Fleet {
+                config,
+                service_token: service_token.clone(),
+                campaigns: HashMap::new(),
+                next_id: 1,
+                shutting_down: false,
+                last_fleet_beat: Instant::now(),
+            }),
+            wake: Condvar::new(),
+        });
+        let slots = (0..slots)
+            .map(|slot| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || slot_loop(&shared, slot))
+            })
+            .collect();
         Orchestrator {
-            tx,
-            supervisor: Some(handle),
+            shared,
+            slots,
             service_token,
+            _silencer: silencer,
         }
     }
 
@@ -1270,66 +1127,43 @@ impl Orchestrator {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] past the admission bound,
-    /// [`SubmitError::ServiceStopped`] after shutdown.
+    /// [`SubmitError::QueueFull`] past the admission bound.
     pub fn submit(&self, request: CampaignRequest) -> Result<CampaignId, SubmitError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self
-            .tx
-            .send(Msg::Cmd(Command::Submit(Box::new(request), reply_tx)))
-            .is_err()
-        {
-            return Err(SubmitError::ServiceStopped);
-        }
-        reply_rx.recv().unwrap_or(Err(SubmitError::ServiceStopped))
+        let admitted = self.shared.lock().admit(request);
+        self.shared.wake.notify_all();
+        admitted
     }
 
     /// Cancels a campaign. Returns `true` when the campaign existed and
     /// was not already terminal. The campaign's journal keeps its
     /// verified verdicts; resubmitting the same campaign resumes it.
     pub fn cancel(&self, id: CampaignId) -> bool {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self
-            .tx
-            .send(Msg::Cmd(Command::Cancel(id, reply_tx)))
-            .is_err()
-        {
-            return false;
-        }
-        reply_rx.recv().unwrap_or(false)
+        let cancelled = self.shared.lock().cancel(id);
+        self.shared.wake.notify_all();
+        cancelled
     }
 
     /// A point-in-time status of one campaign (`None` for unknown ids).
     pub fn status(&self, id: CampaignId) -> Option<CampaignStatus> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self
-            .tx
-            .send(Msg::Cmd(Command::Status(id, reply_tx)))
-            .is_err()
-        {
-            return None;
-        }
-        reply_rx.recv().unwrap_or(None)
+        self.shared.lock().campaigns.get(&id).map(Campaign::status)
     }
 
     /// Statuses of every campaign this service instance has seen, in
     /// submit order.
     pub fn list(&self) -> Vec<CampaignStatus> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.tx.send(Msg::Cmd(Command::List(reply_tx))).is_err() {
-            return Vec::new();
-        }
-        reply_rx.recv().unwrap_or_default()
+        self.shared.lock().statuses()
     }
 
     /// Blocks until `id` reaches a terminal phase and returns its
-    /// outcome (`None` for unknown ids or a stopped service).
+    /// outcome (`None` for unknown ids).
     pub fn wait(&self, id: CampaignId) -> Option<CampaignOutcome> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.tx.send(Msg::Cmd(Command::Wait(id, reply_tx))).is_err() {
-            return None;
+        let mut fleet = self.shared.lock();
+        loop {
+            if let Some(outcome) = &fleet.campaigns.get(&id)?.outcome {
+                return Some(outcome.clone());
+            }
+            fleet = self.shared.sleep(fleet, None);
         }
-        reply_rx.recv().unwrap_or(None)
     }
 
     /// The service-level cancellation token. Campaign tokens are
@@ -1346,26 +1180,31 @@ impl Orchestrator {
     /// as [`CampaignPhase::Cancelled`], journals flushed), and returns
     /// the final statuses.
     pub fn shutdown(mut self) -> Vec<CampaignStatus> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.tx.send(Msg::Cmd(Command::Shutdown(reply_tx))).is_err() {
-            return Vec::new();
+        self.stop()
+    }
+
+    /// [`Orchestrator::shutdown`], also run by `Drop`.
+    fn stop(&mut self) -> Vec<CampaignStatus> {
+        self.shared.lock().begin_shutdown();
+        self.shared.wake.notify_all();
+        for slot in self.slots.drain(..) {
+            let _ = slot.join();
         }
-        let statuses = reply_rx.recv().unwrap_or_default();
-        if let Some(handle) = self.supervisor.take() {
-            let _ = handle.join();
+        // Every slot booked its last lease, so whatever is left has
+        // nothing in flight.
+        let mut fleet = self.shared.lock();
+        for id in fleet.live() {
+            fleet.finalize(id);
         }
-        statuses
+        self.shared.wake.notify_all();
+        fleet.statuses()
     }
 }
 
 impl Drop for Orchestrator {
     fn drop(&mut self) {
-        if let Some(handle) = self.supervisor.take() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if self.tx.send(Msg::Cmd(Command::Shutdown(reply_tx))).is_ok() {
-                let _ = reply_rx.recv();
-            }
-            let _ = handle.join();
+        if !self.slots.is_empty() {
+            self.stop();
         }
     }
 }

@@ -23,7 +23,7 @@ use concat_obs::{MemorySink, Telemetry};
 use concat_runtime::{
     args, unknown_method, AssertionViolation, Component, InvokeResult, TestException, Value,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Env var naming the campaign a re-executed shard worker rebuilds.
@@ -598,4 +598,122 @@ fn killed_process_shard_changes_no_verdict_in_any_campaign() {
     );
     let neighbor = completed(orch.wait(neighbor_id).expect("campaign tracked").end);
     assert_eq!(neighbor.results, solo_run(1, 1).results);
+}
+
+#[test]
+fn dropping_the_service_mid_campaign_joins_every_slot_and_resumes_to_the_solo_run() {
+    let dir = std::env::temp_dir().join("concat-orchestrator-drop");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("drop.journal");
+    let shards = Arc::new(ChaosShards { millis: 3 });
+    let orch = Orchestrator::start(OrchestratorConfig {
+        slots: 3,
+        lease_size: 1,
+        ..OrchestratorConfig::default()
+    });
+    let mut request = chaos_request("dropped", 0, 3);
+    request.shards = shards.clone();
+    request.config.journal_path = Some(journal.clone());
+    let id = orch.submit(request).expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let done = loop {
+        let status = orch.status(id).expect("status");
+        if status.done >= 2 || status.phase.is_terminal() {
+            break status.done;
+        }
+        assert!(Instant::now() < deadline, "campaign never progressed");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    // Dropped without `shutdown()`: the drop joins every slot, so no
+    // slot still holds the fleet and with it the campaign's factory.
+    drop(orch);
+    assert_eq!(
+        Arc::strong_count(&shards),
+        1,
+        "a slot thread outlived the dropped service"
+    );
+
+    let fresh = Orchestrator::start(OrchestratorConfig {
+        slots: 2,
+        ..OrchestratorConfig::default()
+    });
+    let mut resumed = chaos_request("dropped", 0, 3);
+    resumed.config.journal_path = Some(journal);
+    let resumed_id = fresh.submit(resumed).expect("resubmit admitted");
+    let run = completed(fresh.wait(resumed_id).expect("campaign tracked").end);
+    assert_eq!(
+        run.results,
+        solo_run(0, 3).results,
+        "the resubmitted campaign ends byte-identical to an undisturbed solo run"
+    );
+    let status = fresh.status(resumed_id).expect("status retained");
+    assert!(
+        status.replayed >= done as u64,
+        "the resume replays the merged prefix ({} replayed, {done} were merged)",
+        status.replayed
+    );
+    drop(fresh);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_waiters_all_receive_the_same_completed_run() {
+    let golden = solo_run(1, 1);
+    let orch = Orchestrator::start(OrchestratorConfig {
+        slots: 2,
+        lease_size: 1,
+        ..OrchestratorConfig::default()
+    });
+    let id = orch
+        .submit(chaos_request("watched", 1, 1))
+        .expect("admitted");
+    // All four clients start together, while the campaign still runs.
+    let start = Barrier::new(4);
+    std::thread::scope(|scope| {
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    orch.wait(id).expect("campaign tracked")
+                })
+            })
+            .collect();
+        // A fourth client polls the fleet while the waiters sleep on it;
+        // its view of the campaign only ever moves forward.
+        let poller = scope.spawn(|| {
+            start.wait();
+            let mut last_done = 0;
+            let mut live_polls = 0;
+            loop {
+                let statuses = orch.list();
+                let status = statuses
+                    .iter()
+                    .find(|s| s.id == id)
+                    .expect("the campaign is listed");
+                assert!(status.done >= last_done, "merge progress went backwards");
+                last_done = status.done;
+                if status.phase.is_terminal() {
+                    return (status.phase, live_polls);
+                }
+                live_polls += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        for waiter in waiters {
+            let outcome = waiter.join().expect("waiter thread");
+            assert_eq!(outcome.id, id);
+            let run = completed(outcome.end);
+            assert_eq!(
+                run.results, golden.results,
+                "every waiter gets the completed run"
+            );
+        }
+        let (phase, live_polls) = poller.join().expect("poller thread");
+        assert_eq!(phase, CampaignPhase::Completed);
+        assert!(
+            live_polls > 0,
+            "the clients started after the campaign ended"
+        );
+    });
 }

@@ -5,22 +5,31 @@
 
 use concat_obs::{Event, JsonlSink, MemorySink, NullSink, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: proves the disabled/NullSink paths allocate nothing.
+// Each thread counts only its own allocations, so tests running beside
+// the measuring thread cannot move its reading.
 // ---------------------------------------------------------------------------
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+// SAFETY: every call forwards to the system allocator with the caller's
+// pointer and layout unchanged. The counter update neither allocates nor
+// panics (`try_with` skips it once the thread's storage is gone).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -32,10 +41,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

@@ -510,7 +510,13 @@ fn persisted_suites() {
         encode: save_suite,
         decode: |text: &str| load_suite(text).ok(),
         canonical: false,
-        rejects: &["", "suite C\ncase 0 0 [\"n1\"]\nctor m1 C - []", "seed 1"],
+        rejects: &[
+            "",
+            "suite C\ncase 0 0 [\"n1\"]\nctor m1 C - []",
+            "seed 1",
+            "suite C\ncase 0 0 [\"n1\"]\nendcase",
+            "suite C\ncase 0 0 [\"n1\"]\nctor m1 C - []\nctor m2 C - []\nendcase",
+        ],
     });
 }
 
