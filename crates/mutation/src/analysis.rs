@@ -1162,30 +1162,48 @@ fn first_difference<'r>(
     Some((g.case_id, reason))
 }
 
-/// Installs a silent panic hook and restores the previous hook on drop.
+type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
+
+/// The live silencer count and the caller's hook they keep aside.
+static SILENCERS: Mutex<(usize, Option<PanicHook>)> = Mutex::new((0, None));
+
+/// Keeps a silent panic hook installed while any silencer lives.
 ///
 /// Mutant executions are *expected* to panic (that is a kill signal);
 /// without this, a Table-2 scale run prints thousands of backtraces.
-type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
-
-pub(crate) struct PanicSilencer {
-    previous: Option<PanicHook>,
-}
+/// Silencers are counted: the first takes the caller's hook, the last
+/// one dropped puts it back, whatever the order in which their lifetimes
+/// (solo runs, Orchestrators) end.
+pub(crate) struct PanicSilencer(());
 
 impl PanicSilencer {
     pub(crate) fn install() -> Self {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        PanicSilencer {
-            previous: Some(previous),
+        let mut silencers = SILENCERS.lock().unwrap_or_else(PoisonError::into_inner);
+        let (live, saved) = &mut *silencers;
+        if *live == 0 {
+            // A hook still set aside was not restored by a last drop
+            // during unwinding; the silent hook is still in place then.
+            if saved.is_none() {
+                *saved = Some(std::panic::take_hook());
+            }
+            std::panic::set_hook(Box::new(|_| {}));
         }
+        *live += 1;
+        PanicSilencer(())
     }
 }
 
 impl Drop for PanicSilencer {
     fn drop(&mut self) {
-        if let Some(prev) = self.previous.take() {
-            std::panic::set_hook(prev);
+        let mut silencers = SILENCERS.lock().unwrap_or_else(PoisonError::into_inner);
+        let (live, saved) = &mut *silencers;
+        *live -= 1;
+        // `set_hook` panics on a panicking thread; the hook then stays
+        // aside for the next install or last drop.
+        if *live == 0 && !std::thread::panicking() {
+            if let Some(hook) = saved.take() {
+                std::panic::set_hook(hook);
+            }
         }
     }
 }

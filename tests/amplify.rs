@@ -7,42 +7,13 @@
 //! across journal replays; and coverage selection skips a substantial
 //! share of case executions without changing a single verdict.
 
-use concat::components::*;
-use concat::core::{Consumer, SelfTestable, SelfTestableBuilder};
+use concat::core::{Consumer, SelfTestable};
 use concat::driver::{Expansion, GeneratorConfig, TestSuite};
 use concat::mutation::*;
 use concat::obs::{MemorySink, Summary, Telemetry};
 use concat::report::{render_amplification_table, render_score_table};
-use std::rc::Rc;
+use concat_bench::{coblist_bundle, sortable_bundle, sortable_bundle_sharded, TABLE3_METHODS};
 use std::sync::Arc;
-
-fn sortable_bundle() -> SelfTestable {
-    let switch = MutationSwitch::new();
-    SelfTestableBuilder::new(
-        sortable_spec(),
-        Rc::new(CSortableObListFactory::new(switch.clone())),
-    )
-    .mutation(sortable_inventory(), switch)
-    .build()
-}
-
-fn sharded_sortable_bundle() -> SelfTestable {
-    let switch = MutationSwitch::new();
-    SelfTestableBuilder::new(
-        sortable_spec(),
-        Rc::new(CSortableObListFactory::new(switch.clone())),
-    )
-    .mutation(sortable_inventory(), switch)
-    .mutation_shards(Arc::new(CSortableObListFactory::default()))
-    .build()
-}
-
-fn coblist_bundle() -> SelfTestable {
-    let switch = MutationSwitch::new();
-    SelfTestableBuilder::new(coblist_spec(), Rc::new(CObListFactory::new(switch.clone())))
-        .mutation(coblist_inventory(), switch)
-        .build()
-}
 
 fn small_consumer(seed: u64) -> Consumer {
     Consumer::with_config(GeneratorConfig {
@@ -104,7 +75,7 @@ fn amplification_kills_surviving_mutants_within_default_budget() {
 
 #[test]
 fn amplified_outcomes_are_identical_across_worker_counts() {
-    let bundle = sharded_sortable_bundle();
+    let bundle = sortable_bundle_sharded();
     let base = thin_suite(&small_consumer(1999), &bundle, 6);
     let outcomes: Vec<_> = [1usize, 4]
         .iter()
@@ -112,7 +83,7 @@ fn amplified_outcomes_are_identical_across_worker_counts() {
             small_consumer(1999)
                 .with_workers(workers)
                 .amplify_quality(
-                    &sharded_sortable_bundle(),
+                    &sortable_bundle_sharded(),
                     &base,
                     &TARGETS,
                     &[4242],
@@ -148,14 +119,14 @@ fn amplification_replays_byte_identically_from_journals() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("verdicts.journal");
-    let bundle = sharded_sortable_bundle();
+    let bundle = sortable_bundle_sharded();
     let base = thin_suite(&small_consumer(1999), &bundle, 6);
     let run = || {
         small_consumer(1999)
             .with_workers(2)
             .with_journal(&path)
             .amplify_quality(
-                &sharded_sortable_bundle(),
+                &sortable_bundle_sharded(),
                 &base,
                 &TARGETS,
                 &[4242],
@@ -195,8 +166,7 @@ fn coblist_run(
     let probe_suites = [8, 9]
         .map(|seed| small_consumer(seed).generate(&bundle).unwrap())
         .to_vec();
-    let targets = ["AddHead", "RemoveAt", "RemoveHead"];
-    let mutants = enumerate_mutants(bundle.inventory().unwrap(), &targets);
+    let mutants = enumerate_mutants(bundle.inventory().unwrap(), &TABLE3_METHODS);
     let config = MutationConfig {
         probe_suites,
         silence_panics: true,

@@ -7,18 +7,8 @@ use concat::core::{Consumer, SelfTestableBuilder};
 use concat::driver::Expansion;
 use concat::driver::GeneratorConfig;
 use concat::mutation::*;
+use concat_bench::{coblist_bundle, sortable_bundle, TABLE2_METHODS, TABLE3_METHODS};
 use std::rc::Rc;
-
-fn sortable_bundle() -> concat::core::SelfTestable {
-    let switch = MutationSwitch::new();
-    SelfTestableBuilder::new(
-        sortable_spec(),
-        Rc::new(CSortableObListFactory::new(switch.clone())),
-    )
-    .mutation(sortable_inventory(), switch)
-    .inheritance(sortable_inheritance_map())
-    .build()
-}
 
 fn small_consumer(seed: u64) -> Consumer {
     Consumer::with_config(GeneratorConfig {
@@ -31,18 +21,11 @@ fn small_consumer(seed: u64) -> Consumer {
 #[test]
 fn enumeration_matches_formula_on_real_inventories() {
     for (inv, methods) in [
-        (
-            coblist_inventory(),
-            vec!["AddHead", "RemoveAt", "RemoveHead"],
-        ),
-        (
-            sortable_inventory(),
-            vec!["Sort1", "Sort2", "ShellSort", "FindMax", "FindMin"],
-        ),
+        (coblist_inventory(), &TABLE3_METHODS[..]),
+        (sortable_inventory(), &TABLE2_METHODS[..]),
     ] {
-        let methods: Vec<&str> = methods;
-        let mutants = enumerate_mutants(&inv, &methods);
-        assert_eq!(mutants.len(), expected_count(&inv, &methods));
+        let mutants = enumerate_mutants(&inv, methods);
+        assert_eq!(mutants.len(), expected_count(&inv, methods));
         assert!(!mutants.is_empty());
     }
 }
@@ -67,15 +50,11 @@ fn findmax_mutants_mostly_die() {
 fn kill_reasons_are_diverse_for_link_surgery_faults() {
     // AddHead faults corrupt chain structure: expect assertion kills
     // (invariant) and domain/output kills; RemoveAt index faults crash.
-    let switch = MutationSwitch::new();
-    let bundle =
-        SelfTestableBuilder::new(coblist_spec(), Rc::new(CObListFactory::new(switch.clone())))
-            .mutation(coblist_inventory(), switch)
-            .build();
+    let bundle = coblist_bundle();
     let consumer = small_consumer(73);
     let suite = consumer.generate(&bundle).unwrap();
     let run = consumer
-        .evaluate_quality(&bundle, &suite, &["AddHead", "RemoveAt", "RemoveHead"], &[])
+        .evaluate_quality(&bundle, &suite, &TABLE3_METHODS, &[])
         .unwrap();
     assert!(
         run.killed_by_assertion() > 0,
@@ -154,7 +133,7 @@ fn reduced_subclass_suite_is_weaker_on_base_mutants() {
     let reduced = suite.filtered(&plan.reused_case_ids());
     assert!(reduced.len() < suite.len());
 
-    let targets = ["AddHead", "RemoveAt", "RemoveHead"];
+    let targets = TABLE3_METHODS;
     // Note: base-method mutants run against the *subclass* factory — the
     // inherited methods delegate to the instrumented base.
     // Probe suites matter here: without them, survivors would be

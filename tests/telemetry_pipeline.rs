@@ -3,20 +3,12 @@
 //! must account for every case and every mutant, and `JsonlSink` output
 //! must be parseable one-object-per-line.
 
-use concat::components::*;
-use concat::core::{Consumer, SelfTestableBuilder};
+use concat::core::Consumer;
 use concat::driver::{Expansion, GeneratorConfig};
-use concat::mutation::{KillReason, MutantStatus, MutationSwitch};
+use concat::mutation::{KillReason, MutantStatus};
 use concat::obs::{JsonlSink, MemorySink, Telemetry};
-use std::rc::Rc;
+use concat_bench::coblist_bundle;
 use std::sync::Arc;
-
-fn coblist_bundle() -> concat::core::SelfTestable {
-    let switch = MutationSwitch::new();
-    SelfTestableBuilder::new(coblist_spec(), Rc::new(CObListFactory::new(switch.clone())))
-        .mutation(coblist_inventory(), switch)
-        .build()
-}
 
 fn consumer_with(seed: u64, telemetry: Telemetry) -> Consumer {
     Consumer::with_config(GeneratorConfig {
