@@ -310,7 +310,8 @@ impl TestRunner {
         suite: &TestSuite,
         log: &mut TestLog,
     ) -> SuiteResult {
-        self.run_cases(factory, suite, &mut suite.iter(), Some(log), SpanId::NONE)
+        let cases = &mut suite.iter();
+        self.run_cases(factory, suite, cases, &never, Some(log), SpanId::NONE)
     }
 
     /// Runs a whole suite for its results alone — no log lines — with
@@ -322,7 +323,7 @@ impl TestRunner {
         suite: &TestSuite,
         parent: SpanId,
     ) -> SuiteResult {
-        self.run_cases(factory, suite, &mut suite.iter(), None, parent)
+        self.run_cases(factory, suite, &mut suite.iter(), &never, None, parent)
     }
 
     /// Runs only the cases of `suite` at `positions`, in that order, for
@@ -332,6 +333,12 @@ impl TestRunner {
     /// worker and campaign) that caused it. Result `i` belongs to the
     /// case at `positions[i]`.
     ///
+    /// After each case, `stop(i, &result)` decides whether the run ends
+    /// there: the results then stop at that case, and the cases at the
+    /// remaining positions never run. The mutation engine stops at the
+    /// first case that tells a mutant apart when no later case could
+    /// change its verdict; `&|_, _| false` runs every position.
+    ///
     /// # Panics
     ///
     /// When a position is out of range for `suite`.
@@ -340,20 +347,23 @@ impl TestRunner {
         factory: &dyn ComponentFactory,
         suite: &TestSuite,
         positions: &[usize],
+        stop: &dyn Fn(usize, &CaseResult) -> bool,
         parent: SpanId,
     ) -> SuiteResult {
         let cases = &mut positions.iter().map(|&pos| &suite.cases[pos]);
-        self.run_cases(factory, suite, cases, None, parent)
+        self.run_cases(factory, suite, cases, stop, None, parent)
     }
 
     /// The suite loop behind every `run_*` entry point; `log` is filled
-    /// only when given. Deliberately not generic over the iterator: one
+    /// only when given, and the loop ends early after the first result
+    /// `stop` accepts. Deliberately not generic over the iterator: one
     /// instance of the loop serves every caller.
     fn run_cases(
         &self,
         factory: &dyn ComponentFactory,
         suite: &TestSuite,
         cases: &mut dyn Iterator<Item = &TestCase>,
+        stop: &dyn Fn(usize, &CaseResult) -> bool,
         mut log: Option<&mut TestLog>,
         parent: SpanId,
     ) -> SuiteResult {
@@ -367,7 +377,11 @@ impl TestRunner {
             if result.status.is_harness_stop() {
                 notes.push(format!("case {}: {}", result.case_id, result.status));
             }
+            let last = stop(results.len(), &result);
             results.push(result);
+            if last {
+                break;
+            }
         }
         SuiteResult {
             class_name: suite.class_name.clone(),
@@ -589,6 +603,11 @@ impl Stop {
             None => INVARIANT_CALL.to_owned(),
         }
     }
+}
+
+/// The stop test of the whole-suite runs: every case runs.
+fn never(_: usize, _: &CaseResult) -> bool {
+    false
 }
 
 /// Unwraps a construct or invoke that returned normally. Any other ending

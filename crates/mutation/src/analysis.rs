@@ -277,10 +277,22 @@ pub struct MutationConfig {
     /// probe). A deadline here is what turns an infinite-loop mutant into
     /// [`MutantStatus::Quarantined`] instead of a hung analysis.
     /// Unlimited by default — the paper's semantics.
+    ///
+    /// Any limit (calls, transcript bytes or a deadline) turns early exit
+    /// off: a mutant's scope then runs to its end even after a case has
+    /// told the mutant apart, because a later case could still blow the
+    /// budget, and a harness stop quarantines the mutant whatever case
+    /// differed first. Unlimited, no case can stop, so each scope run
+    /// ends at its first differing case with the same verdict.
     pub budget: Budget,
     /// Quarantine a mutant whose run crashes in at least this many test
     /// cases (crashes the *golden* run also has are not counted). `None`
     /// (default) keeps the paper's semantics: every crash is a kill.
+    ///
+    /// A positive threshold turns early exit off, for the reason given
+    /// on `budget`: the crash count needs every case of the scope, so
+    /// the scope runs to its end. `Some(0)` never quarantines and keeps
+    /// early exit on.
     pub crash_quarantine_threshold: Option<usize>,
     /// Worker count for [`run_mutation_analysis_parallel`]: each worker
     /// owns its own factory, switch, runner, watchdog and cancel token.
@@ -504,6 +516,9 @@ pub(crate) struct Engine<'a> {
     mutants: &'a [Mutant],
     config: &'a MutationConfig,
     baseline: &'a GoldenBaseline,
+    /// Whether a scope run stops at its first differing case; see
+    /// [`Engine::run_scope`].
+    early_exit: bool,
 }
 
 /// One executor's harness: the component factory, the switch its
@@ -545,11 +560,14 @@ impl<'a> Engine<'a> {
         config: &'a MutationConfig,
         baseline: &'a GoldenBaseline,
     ) -> Self {
+        let early_exit = config.budget.is_unlimited()
+            && matches!(config.crash_quarantine_threshold, None | Some(0));
         Engine {
             suite,
             mutants,
             config,
             baseline,
+            early_exit,
         }
     }
 
@@ -677,6 +695,14 @@ impl<'a> Engine<'a> {
     /// [`judge`]s them against the same positions of `golden`. Cases
     /// outside the scope are counted under `selection.skipped` instead of
     /// run.
+    ///
+    /// Early exit: with an unlimited budget and no positive crash
+    /// threshold, no case can quarantine the mutant, so the first case
+    /// whose transcript differs decides the verdict (`Killed` by that
+    /// case on the suite, `Survived` on a probe) and the run stops
+    /// there. The cases after it are neither run nor counted. Any budget,
+    /// deadline or positive threshold runs the whole scope, since a later
+    /// harness stop or crash could still quarantine the mutant.
     fn run_scope(
         &self,
         harness: &Harness<'_>,
@@ -695,7 +721,10 @@ impl<'a> Engine<'a> {
         if skipped > 0 {
             telemetry.incr_by("selection.skipped", skipped as u64);
         }
-        let observed = runner.run_positions_under(factory, suite, positions, parent);
+        let differs = |i: usize, observed: &CaseResult| {
+            self.early_exit && golden.cases[positions[i]].transcript != observed.transcript
+        };
+        let observed = runner.run_positions_under(factory, suite, positions, &differs, parent);
         let golden_cases = positions.iter().map(|&pos| &golden.cases[pos]);
         judge(
             golden_cases.zip(&observed.cases),

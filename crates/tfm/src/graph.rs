@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Index of a node within its [`Tfm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -157,11 +158,55 @@ impl std::error::Error for TfmError {}
 /// tfm.add_edge(show, death);
 /// assert!(tfm.validate().is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Tfm {
     class_name: String,
     nodes: Vec<Node>,
     edges: Vec<Edge>,
+    /// Per-node edge lists, built from `edges` on first use and dropped
+    /// by every change to the model: derived data, left out of equality
+    /// and `Debug`.
+    adjacency: OnceLock<Adjacency>,
+}
+
+impl PartialEq for Tfm {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.class_name, &self.nodes, &self.edges)
+            == (&other.class_name, &other.nodes, &other.edges)
+    }
+}
+
+impl fmt::Debug for Tfm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tfm")
+            .field("class_name", &self.class_name)
+            .field("nodes", &self.nodes)
+            .field("edges", &self.edges)
+            .finish()
+    }
+}
+
+/// Per node, the indices of the edges leaving it and entering it, in
+/// insertion order.
+#[derive(Clone)]
+struct Adjacency {
+    out: Vec<Vec<usize>>,
+    into: Vec<Vec<usize>>,
+}
+
+impl Adjacency {
+    fn new(edges: &[Edge]) -> Self {
+        let nodes = edges.iter().map(|e| e.from.0.max(e.to.0) + 1).max();
+        let mut adjacency = Adjacency {
+            out: vec![Vec::new(); nodes.unwrap_or(0)],
+            into: vec![Vec::new(); nodes.unwrap_or(0)],
+        };
+        for (i, e) in edges.iter().enumerate() {
+            adjacency.out[e.from.0].push(i);
+            adjacency.into[e.to.0].push(i);
+        }
+        adjacency
+    }
 }
 
 impl Tfm {
@@ -171,6 +216,7 @@ impl Tfm {
             class_name: class_name.into(),
             nodes: Vec::new(),
             edges: Vec::new(),
+            adjacency: OnceLock::new(),
         }
     }
 
@@ -191,6 +237,7 @@ impl Tfm {
             methods: methods.into_iter().map(Into::into).collect(),
         };
         self.nodes.push(node);
+        self.adjacency.take();
         NodeId(self.nodes.len() - 1)
     }
 
@@ -200,6 +247,7 @@ impl Tfm {
         let e = Edge { from, to };
         if !self.edges.contains(&e) {
             self.edges.push(e);
+            self.adjacency.take();
         }
     }
 
@@ -256,22 +304,32 @@ impl Tfm {
             .collect()
     }
 
+    /// Indices into [`Tfm::edges`] of the edges leaving `id`, in
+    /// insertion order.
+    pub fn out_edges(&self, id: NodeId) -> &[usize] {
+        self.adjacency().out.get(id.0).map_or(&[], Vec::as_slice)
+    }
+
+    /// Indices into [`Tfm::edges`] of the edges entering `id`, in
+    /// insertion order.
+    pub fn in_edges(&self, id: NodeId) -> &[usize] {
+        self.adjacency().into.get(id.0).map_or(&[], Vec::as_slice)
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| Adjacency::new(&self.edges))
+    }
+
     /// Successors of `id`, in edge insertion order.
     pub fn successors(&self, id: NodeId) -> Vec<NodeId> {
-        self.edges
-            .iter()
-            .filter(|e| e.from == id)
-            .map(|e| e.to)
-            .collect()
+        let edges = self.out_edges(id).iter();
+        edges.map(|&i| self.edges[i].to).collect()
     }
 
     /// Predecessors of `id`, in edge insertion order.
     pub fn predecessors(&self, id: NodeId) -> Vec<NodeId> {
-        self.edges
-            .iter()
-            .filter(|e| e.to == id)
-            .map(|e| e.from)
-            .collect()
+        let edges = self.in_edges(id).iter();
+        edges.map(|&i| self.edges[i].from).collect()
     }
 
     /// Every method name referenced by any node, sorted and deduplicated.

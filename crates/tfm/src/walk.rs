@@ -15,7 +15,7 @@
 //! byte-reproducible.
 
 use crate::graph::{NodeId, Tfm};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Edge-selection policy of a TFM walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -95,6 +95,11 @@ pub struct EdgeWalker {
     /// Visit count per edge index (parallel to `Tfm::edges`).
     visits: Vec<u64>,
     steps: u64,
+    /// Per node, the edges still to traverse before an unvisited one can
+    /// be taken ([`nearest_unvisited`]). Only a first visit of an edge
+    /// moves it, so it is recomputed only then, while `fresh` is false.
+    nearest: Vec<usize>,
+    fresh: bool,
 }
 
 impl EdgeWalker {
@@ -105,6 +110,8 @@ impl EdgeWalker {
             position: None,
             visits: Vec::new(),
             steps: 0,
+            nearest: Vec::new(),
+            fresh: false,
         }
     }
 
@@ -150,17 +157,13 @@ impl EdgeWalker {
     /// Panics when called before [`EdgeWalker::restart`].
     pub fn step(&mut self, tfm: &Tfm, pick: &mut dyn FnMut(usize) -> usize) -> Option<NodeId> {
         let here = self.position.expect("step() requires a started walker");
-        self.visits
-            .resize(tfm.edge_count().max(self.visits.len()), 0);
-        // Indices into the edge list of every outgoing edge, in insertion
-        // order (the same order `successors` reports).
-        let outgoing: Vec<usize> = tfm
-            .edges()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.from == here)
-            .map(|(i, _)| i)
-            .collect();
+        if tfm.edge_count() > self.visits.len() {
+            self.visits.resize(tfm.edge_count(), 0);
+            self.fresh = false;
+        }
+        // Every outgoing edge, in insertion order (the same order
+        // `successors` reports).
+        let outgoing = tfm.out_edges(here);
         if outgoing.is_empty() {
             self.position = None;
             return None;
@@ -172,66 +175,37 @@ impl EdgeWalker {
                 // plain per-node least-visited balances its way into an
                 // exponential number of restarts on caterpillar-shaped
                 // graphs, so the coverage bound needs the global pull.
-                let dist = self.edge_distances(tfm);
-                let near = outgoing.iter().map(|&i| dist[i]).min().unwrap();
+                if !self.fresh || self.nearest.len() != tfm.node_count() {
+                    self.nearest = nearest_unvisited(tfm, &self.visits);
+                    self.fresh = true;
+                }
+                let dist = |i: usize| match self.visits[i] {
+                    0 => 0,
+                    _ => self.nearest[tfm.edges()[i].to.index()].saturating_add(1),
+                };
+                let near = outgoing.iter().map(|&i| dist(i)).min().unwrap();
                 let min = outgoing
                     .iter()
-                    .filter(|&&i| dist[i] == near)
+                    .filter(|&&i| dist(i) == near)
                     .map(|&i| self.visits[i])
                     .min()
                     .unwrap_or(0);
                 let ties: Vec<usize> = outgoing
                     .iter()
                     .copied()
-                    .filter(|&i| dist[i] == near && self.visits[i] == min)
+                    .filter(|&i| dist(i) == near && self.visits[i] == min)
                     .collect();
                 ties[bounded(pick, ties.len())]
             }
         };
         self.visits[edge_index] += 1;
+        if self.visits[edge_index] == 1 {
+            self.fresh = false;
+        }
         self.steps += 1;
         let next = tfm.edges()[edge_index].to;
         self.position = Some(next);
         Some(next)
-    }
-
-    /// Per-edge distance (in edges still to traverse) to the nearest
-    /// unvisited edge: an unvisited edge is 0, an edge one hop before
-    /// one is 1, `usize::MAX` when no unvisited edge is reachable.
-    /// Relaxation to a fixpoint; the models are small enough that the
-    /// quadratic worst case is irrelevant.
-    fn edge_distances(&self, tfm: &Tfm) -> Vec<usize> {
-        let edges = tfm.edges();
-        let mut dist: Vec<usize> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                if self.visits.get(i).copied().unwrap_or(0) == 0 {
-                    0
-                } else {
-                    usize::MAX
-                }
-            })
-            .collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..edges.len() {
-                let through = edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.from == edges[i].to)
-                    .map(|(j, _)| dist[j])
-                    .min()
-                    .unwrap_or(usize::MAX)
-                    .saturating_add(1);
-                if through < dist[i] {
-                    dist[i] = through;
-                    changed = true;
-                }
-            }
-        }
-        dist
     }
 
     /// Number of distinct edges visited so far.
@@ -253,6 +227,36 @@ fn bounded(pick: &mut dyn FnMut(usize) -> usize, n: usize) -> usize {
     pick(n).min(n - 1)
 }
 
+/// Per node, the number of edges a walk from it must traverse before it
+/// can take an unvisited edge: 0 when the node has an unvisited outgoing
+/// edge, `usize::MAX` when no unvisited edge is reachable. One
+/// multi-source breadth-first search backwards along the edges, from
+/// the sources of the unvisited edges. A visited edge `e` is then
+/// `nearest[e.to] + 1` edges from an unvisited one (saturating), and an
+/// unvisited edge 0.
+fn nearest_unvisited(tfm: &Tfm, visits: &[u64]) -> Vec<usize> {
+    let edges = tfm.edges();
+    let mut nearest = vec![usize::MAX; tfm.node_count()];
+    let mut queue = VecDeque::new();
+    for (i, e) in edges.iter().enumerate() {
+        if visits.get(i).copied().unwrap_or(0) == 0 && nearest[e.from.index()] != 0 {
+            nearest[e.from.index()] = 0;
+            queue.push_back(e.from);
+        }
+    }
+    while let Some(node) = queue.pop_front() {
+        let through = nearest[node.index()] + 1;
+        for &i in tfm.in_edges(node) {
+            let from = edges[i].from;
+            if nearest[from.index()] == usize::MAX {
+                nearest[from.index()] = through;
+                queue.push_back(from);
+            }
+        }
+    }
+    nearest
+}
+
 /// Indices (into [`Tfm::edges`]) of every edge reachable from a birth
 /// node — the denominator of walk edge coverage. Unreachable islands are
 /// excluded: no walk can ever traverse them, and
@@ -262,12 +266,11 @@ pub fn reachable_edges(tfm: &Tfm) -> BTreeSet<usize> {
     let mut frontier: Vec<NodeId> = tfm.birth_nodes();
     let mut seen: BTreeSet<usize> = frontier.iter().map(|n| n.index()).collect();
     while let Some(node) = frontier.pop() {
-        for (i, e) in tfm.edges().iter().enumerate() {
-            if e.from == node {
-                reached.insert(i);
-                if seen.insert(e.to.index()) {
-                    frontier.push(e.to);
-                }
+        for &i in tfm.out_edges(node) {
+            reached.insert(i);
+            let to = tfm.edges()[i].to;
+            if seen.insert(to.index()) {
+                frontier.push(to);
             }
         }
     }
@@ -376,6 +379,154 @@ mod tests {
         let before = walker.visited_edges();
         walker.restart(&tfm, &mut pick);
         assert_eq!(walker.visited_edges(), before);
+    }
+
+    /// The distance definition itself, as the walker computed it per
+    /// step before the breadth-first search: per edge, relaxation to a
+    /// fixpoint over every pair of edges.
+    fn fixpoint_edge_distances(tfm: &Tfm, visits: &[u64]) -> Vec<usize> {
+        let edges = tfm.edges();
+        let mut dist: Vec<usize> = (0..edges.len())
+            .map(|i| match visits.get(i).copied().unwrap_or(0) {
+                0 => 0,
+                _ => usize::MAX,
+            })
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in 0..edges.len() {
+                let through = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.from == edges[i].to)
+                    .map(|(j, _)| dist[j])
+                    .min()
+                    .unwrap_or(usize::MAX)
+                    .saturating_add(1);
+                if through < dist[i] {
+                    dist[i] = through;
+                    changed = true;
+                }
+            }
+        }
+        dist
+    }
+
+    /// A seeded `pick(n)` source (xorshift64*: the crate has no RNG
+    /// dependency).
+    fn seeded_pick(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed | 1;
+        move |n: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        }
+    }
+
+    /// A random model of any shape: cycles, self-loops, islands, dead
+    /// ends, and sometimes no birth node.
+    fn random_model(next: &mut dyn FnMut(usize) -> usize) -> Tfm {
+        let kinds = [NodeKind::Birth, NodeKind::Task, NodeKind::Death];
+        let mut tfm = Tfm::new("C");
+        let nodes: Vec<NodeId> = (0..1 + next(12))
+            .map(|i| tfm.add_node(format!("n{i}"), kinds[next(3)], ["m"]))
+            .collect();
+        for _ in 0..next(3 * nodes.len() + 1) {
+            tfm.add_edge(nodes[next(nodes.len())], nodes[next(nodes.len())]);
+        }
+        tfm
+    }
+
+    #[test]
+    fn breadth_first_distances_equal_the_fixpoint_on_random_models() {
+        let mut next = seeded_pick(0x9E37_79B9_7F4A_7C15);
+        for case in 0..500 {
+            let tfm = random_model(&mut next);
+            let visits: Vec<u64> = (0..tfm.edge_count())
+                .map(|_| [0, 0, 1, 3][next(4)])
+                .collect();
+            let nearest = nearest_unvisited(&tfm, &visits);
+            let bfs: Vec<usize> = tfm
+                .edges()
+                .iter()
+                .zip(&visits)
+                .map(|(e, &v)| match v {
+                    0 => 0,
+                    _ => nearest[e.to.index()].saturating_add(1),
+                })
+                .collect();
+            assert_eq!(
+                bfs,
+                fixpoint_edge_distances(&tfm, &visits),
+                "case {case}: {tfm:?} visits {visits:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cached_distances_walk_like_per_step_fixpoints() {
+        let mut next = seeded_pick(0xD1B5_4A32_D192_ED03);
+        for case in 0..200 {
+            let tfm = random_model(&mut next);
+            if tfm.birth_nodes().is_empty() {
+                continue;
+            }
+            let seed = next(1 << 30) as u64;
+            let (mut pick, mut oracle_pick) = (seeded_pick(seed), seeded_pick(seed));
+            let mut walker = EdgeWalker::new(WalkPolicy::LeastVisited);
+            let mut visits = vec![0u64; tfm.edge_count()];
+            let births = tfm.birth_nodes();
+            let mut here = walker.restart(&tfm, &mut pick);
+            assert_eq!(here, births[bounded(&mut oracle_pick, births.len())]);
+            for step in 0..60 {
+                // The pre-cache policy: fixpoint distances every step.
+                let outgoing = tfm.out_edges(here);
+                let expected = (!outgoing.is_empty()).then(|| {
+                    let dist = fixpoint_edge_distances(&tfm, &visits);
+                    let key = |i: usize| (dist[i], visits[i]);
+                    let best = outgoing.iter().map(|&i| key(i)).min().unwrap();
+                    let ties: Vec<usize> = outgoing
+                        .iter()
+                        .copied()
+                        .filter(|&i| key(i) == best)
+                        .collect();
+                    ties[bounded(&mut oracle_pick, ties.len())]
+                });
+                let got = walker.step(&tfm, &mut pick);
+                assert_eq!(
+                    got,
+                    expected.map(|i| tfm.edges()[i].to),
+                    "case {case} step {step}"
+                );
+                match expected {
+                    Some(i) => {
+                        visits[i] += 1;
+                        here = tfm.edges()[i].to;
+                    }
+                    None => {
+                        here = walker.restart(&tfm, &mut pick);
+                        assert_eq!(here, births[bounded(&mut oracle_pick, births.len())]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_and_in_edges_list_the_edge_relation() {
+        let tfm = looped();
+        for (id, _) in tfm.nodes() {
+            for &i in tfm.out_edges(id) {
+                assert_eq!(tfm.edges()[i].from, id);
+            }
+            for &i in tfm.in_edges(id) {
+                assert_eq!(tfm.edges()[i].to, id);
+            }
+        }
+        let listed: usize = tfm.nodes().map(|(id, _)| tfm.out_edges(id).len()).sum();
+        assert_eq!(listed, tfm.edge_count());
     }
 
     #[test]

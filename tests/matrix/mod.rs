@@ -17,6 +17,20 @@
 //!    the classification counters, the fleet's `orchestrator.*` counters
 //!    and the coverage sidecar's campaign stamp.
 //!
+//! Every cell also checks the `NAIVE` fact: its verdicts equal those of
+//! the naive oracle ([`naive`]), a classifier written from the paper's
+//! definitions alone. It runs every whole suite on every mutant, with
+//! no scopes, no selection, no early exit and no cache, so it checks
+//! each optimisation of the engine's scope step independently of the
+//! goldens. The [`Config`] column varies the campaign itself: the
+//! paper's, a never-firing budget, a crash threshold, or a seeded random
+//! draw of seed, suite size, budget, threshold and deadline. A cell whose
+//! config is not the paper's expects the naive oracle's verdicts and
+//! report (points 1 and 2) instead of the golden and the sequential
+//! engine's. A cell whose config turns the engine's early exit off also
+//! checks the `FULL` fact: it executes strictly more cases than its
+//! early-exit twin, the same campaign without budget or threshold.
+//!
 //! A timing-free summary line (id, axes, mutant and case counts) of every
 //! cell is compared byte for byte with its line in
 //! `tests/golden/qualification.summary`, whose ids must be the matrix's.
@@ -31,22 +45,26 @@
 //! rebuilds.
 
 use concat::core::{Consumer, SelfTestable};
-use concat::driver::{Expansion, GeneratorConfig};
+use concat::driver::{CaseResult, CaseStatus, Expansion, GeneratorConfig, SuiteResult, TestRunner};
 use concat::mutation::{
     load_campaign_coverage, run_mutation_analysis, run_mutation_analysis_parallel, CampaignEnd,
-    CampaignPhase, CampaignRequest, IsolationMode, MutationMatrix, MutationRun, Orchestrator,
-    OrchestratorConfig, ProcessIsolation,
+    CampaignPhase, CampaignRequest, IsolationMode, KillReason, MutantResult, MutantStatus,
+    MutationMatrix, MutationRun, MutationSwitch, Orchestrator, OrchestratorConfig,
+    ProcessIsolation, QuarantineReason,
 };
-use concat::obs::{MemorySink, Summary, Telemetry};
+use concat::obs::{MemorySink, SpanId, Summary, Telemetry};
 use concat::report::{render_score_table, summarize_run};
+use concat::runtime::{Budget, Rng};
 use concat_bench::{
     coblist_bundle_sharded, sortable_bundle_sharded, PROBE_SEEDS, SEED, TABLE2_METHODS,
     TABLE3_METHODS,
 };
 use std::fmt::Write as _;
+use std::mem::discriminant;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Duration;
 
 /// Env var naming the table a re-executed shard worker rebuilds.
 const SHARD_ENV: &str = "CONCAT_QUALIFICATION_SHARD";
@@ -91,6 +109,139 @@ enum Journal {
     IncSalvage,
 }
 
+/// The campaign a cell runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Config {
+    /// The paper's: seed 2001, one covering pass, no budget, no crash
+    /// threshold. The engine stops each scope run at its first
+    /// difference.
+    Paper,
+    /// The paper's campaign under a call budget no case reaches: early
+    /// exit is off, and the verdicts stay the golden ones.
+    NeverFires,
+    /// The paper's campaign quarantining a mutant at this many
+    /// mutant-only crashes: early exit is off, and a later crash can
+    /// change a verdict.
+    CrashThreshold(usize),
+    /// A campaign drawn from this seed: generator seed, suite size, call
+    /// budget or none, crash threshold or none, never-firing deadline or
+    /// none ([`Config::inputs`]).
+    Random(u64),
+}
+
+/// The inputs a [`Config`] stands for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Inputs {
+    seed: u64,
+    repeats: usize,
+    max_transactions: usize,
+    budget: Budget,
+    threshold: Option<usize>,
+}
+
+impl Config {
+    fn inputs(self) -> Inputs {
+        let paper = Inputs {
+            seed: SEED,
+            repeats: 1,
+            max_transactions: GeneratorConfig::default().max_transactions,
+            budget: Budget::unlimited(),
+            threshold: None,
+        };
+        match self {
+            Config::Paper => paper,
+            Config::NeverFires => Inputs {
+                budget: Budget::unlimited().with_max_calls(1_000_000),
+                ..paper
+            },
+            Config::CrashThreshold(n) => Inputs {
+                threshold: Some(n),
+                ..paper
+            },
+            Config::Random(seed) => {
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut budget = Budget::unlimited();
+                let threshold;
+                if rng.coin() {
+                    // Early exit stays on: a zero threshold never fires.
+                    threshold = [None, Some(0)][rng.index(2)];
+                } else {
+                    // Small caps fire in some golden cases too (shared
+                    // stops do not quarantine) and in the fuel-looping
+                    // mutants.
+                    if let Some(calls) = [None, Some(6), Some(12), Some(1_000_000)][rng.index(4)] {
+                        budget = budget.with_max_calls(calls);
+                    }
+                    threshold = [None, Some(1), Some(2)][rng.index(3)];
+                    if rng.coin() || (budget.is_unlimited() && threshold.is_none()) {
+                        budget = budget.with_deadline(Duration::from_secs(120));
+                    }
+                }
+                Inputs {
+                    seed: rng.next_u64() % 100_000,
+                    repeats: 1 + rng.index(2),
+                    max_transactions: 3 + rng.index(10),
+                    budget,
+                    threshold,
+                }
+            }
+        }
+    }
+
+    /// Whether the engine may stop a scope run at its first difference:
+    /// no budget and no positive crash threshold.
+    fn early_exit(self) -> bool {
+        let inputs = self.inputs();
+        inputs.budget.is_unlimited() && inputs.threshold.unwrap_or(0) == 0
+    }
+
+    /// The same campaign with early exit on.
+    fn twin(self) -> Inputs {
+        Inputs {
+            budget: Budget::unlimited(),
+            threshold: None,
+            ..self.inputs()
+        }
+    }
+
+    /// The summary line's suffix: empty for the paper's campaign, else
+    /// the inputs, whether early exit is on and the verdict counts of
+    /// `run` (killed, survived, presumed equivalent, quarantined).
+    fn describe(self, run: &MutationRun) -> String {
+        let name = match self {
+            Config::Paper => return String::new(),
+            Config::NeverFires => "never-fires".to_owned(),
+            Config::CrashThreshold(n) => format!("crash-threshold-{n}"),
+            Config::Random(seed) => format!("random-{seed}"),
+        };
+        let Inputs {
+            seed,
+            repeats,
+            max_transactions,
+            budget,
+            threshold,
+        } = self.inputs();
+        let show = |value: Option<String>| value.unwrap_or_else(|| "-".to_owned());
+        format!(
+            " config={name} seed={seed} repeats={repeats} transactions={max_transactions} \
+             calls={} deadline={} threshold={} early_exit={} verdicts={}/{}/{}/{}",
+            show(budget.max_calls.map(|n| n.to_string())),
+            show(budget.deadline.map(|d| format!("{}s", d.as_secs()))),
+            show(threshold.map(|n| n.to_string())),
+            if self.early_exit() { "on" } else { "off" },
+            run.killed(),
+            run.survived(),
+            run.equivalent(),
+            run.quarantined(),
+        )
+    }
+
+    /// Whether the cell's verdicts are the paper campaign's golden ones.
+    fn golden(self) -> bool {
+        matches!(self, Config::Paper | Config::NeverFires)
+    }
+}
+
 struct Cell {
     id: &'static str,
     table: Table,
@@ -99,6 +250,7 @@ struct Cell {
     scheduler: Scheduler,
     telemetry: bool,
     journal: Journal,
+    config: Config,
 }
 
 const fn cell(
@@ -118,20 +270,32 @@ const fn cell(
         scheduler,
         telemetry,
         journal,
+        config: Config::Paper,
     }
 }
 
+impl Cell {
+    /// The cell running `config` instead of the paper's campaign.
+    const fn with(self, config: Config) -> Cell {
+        Cell { config, ..self }
+    }
+}
+
+use Config::Random;
 use Engine::{Seq, Workers as W};
 use Isolation::{Process as PROC, Thread as THREAD};
 use Scheduler::{Fleet as FLEET, Solo as SOLO};
 use Table::{T2, T3};
 const OFF: bool = false;
 const ON: bool = true;
+const NEVER: Config = Config::NeverFires;
+const CRASH1: Config = Config::CrashThreshold(1);
 
 /// The matrix: its cells, grouped under the integration test that runs
 /// them. The first sequential cell of each table is that table's
-/// reference run, so it records telemetry when any cell of its table does.
-/// Journal cells record telemetry: their facts are read from it.
+/// reference run, so it records telemetry when any paper-campaign cell of
+/// its table does. Journal cells, and cells whose config turns early exit
+/// off, record telemetry: their facts are read from it.
 #[rustfmt::skip]
 const MATRIX: &[(&str, &[Cell])] = &[
     ("table2_verdicts_match_golden", &[
@@ -183,6 +347,19 @@ const MATRIX: &[(&str, &[Cell])] = &[
         cell("Q3-INC-SALVAGE-W1",    T3, W(1), THREAD, SOLO,  ON,  Journal::IncSalvage),
         cell("Q3-INC-SALVAGE-W4",    T3, W(4), THREAD, SOLO,  ON,  Journal::IncSalvage),
     ]),
+    ("full_scope_cells_execute_more_cases_than_their_early_exit_twins", &[
+        cell("Q2-FULL",              T2, Seq,  THREAD, SOLO,  ON,  Journal::None).with(NEVER),
+        cell("Q3-FULL",              T3, W(2), THREAD, SOLO,  ON,  Journal::None).with(NEVER),
+        cell("Q3-CRASH1",            T3, Seq,  THREAD, SOLO,  ON,  Journal::None).with(CRASH1),
+    ]),
+    ("random_campaigns_match_the_naive_oracle", &[
+        cell("Q2-RANDOM-1",          T2, Seq,  THREAD, SOLO,  ON,  Journal::None).with(Random(1)),
+        cell("Q2-RANDOM-18",         T2, W(2), THREAD, SOLO,  ON,  Journal::None).with(Random(18)),
+        cell("Q2-RANDOM-19",         T2, Seq,  THREAD, SOLO,  ON,  Journal::None).with(Random(19)),
+        cell("Q3-RANDOM-7",          T3, Seq,  THREAD, SOLO,  ON,  Journal::None).with(Random(7)),
+        cell("Q3-RANDOM-20",         T3, W(3), THREAD, SOLO,  ON,  Journal::None).with(Random(20)),
+        cell("Q3-RANDOM-4",          T3, W(2), THREAD, SOLO,  ON,  Journal::None).with(Random(4)),
+    ]),
 ];
 
 /// Every cell of the matrix, in table order.
@@ -230,10 +407,10 @@ impl Table {
             .join(format!("tests/golden/table{}.verdicts", self.number()))
     }
 
-    /// The table's first sequential cell.
+    /// The table's first sequential cell of the paper's campaign.
     fn reference_cell(self) -> &'static Cell {
         cells()
-            .find(|c| c.table == self && c.engine == Seq)
+            .find(|c| c.table == self && c.engine == Seq && c.config == Config::Paper)
             .expect("every table has a sequential cell")
     }
 
@@ -257,14 +434,24 @@ impl Table {
     }
 }
 
-/// One covering pass over the transactions keeps the debug-build runs
-/// short while every target method keeps all its mutants.
-fn base_consumer() -> Consumer {
+/// The consumer generating and running the campaign of `inputs`.
+fn consumer_for(inputs: &Inputs) -> Consumer {
     Consumer::with_config(GeneratorConfig {
-        seed: SEED,
-        expansion: Expansion::Covering { repeats: 1 },
+        seed: inputs.seed,
+        expansion: Expansion::Covering {
+            repeats: inputs.repeats,
+        },
+        max_transactions: inputs.max_transactions,
         ..GeneratorConfig::default()
     })
+    .with_budget(inputs.budget)
+}
+
+/// The paper's campaign: one covering pass over the transactions keeps
+/// the debug-build runs short while every target method keeps all its
+/// mutants.
+fn base_consumer() -> Consumer {
+    consumer_for(&Config::Paper.inputs())
 }
 
 /// Shard children re-execute the cell's own test, whose [`qualify`]
@@ -277,7 +464,7 @@ fn shard_isolation(cell: &Cell) -> ProcessIsolation {
 /// The consumer of a cell's campaign: its worker count and isolation,
 /// plus the given telemetry and journal.
 fn cell_consumer(cell: &Cell, telemetry: Telemetry, journal: Option<&Path>) -> Consumer {
-    let mut consumer = base_consumer().with_telemetry(telemetry);
+    let mut consumer = consumer_for(&cell.config.inputs()).with_telemetry(telemetry);
     if let W(workers) = cell.engine {
         consumer = consumer.with_workers(workers);
     }
@@ -303,7 +490,8 @@ fn request(consumer: &Consumer, table: Table, targets: &[&str]) -> CampaignReque
 
 /// Runs `targets` of the cell's table on the cell's engine and scheduler.
 fn campaign(cell: &Cell, consumer: &Consumer, targets: &[&str]) -> MutationRun {
-    let req = request(consumer, cell.table, targets);
+    let mut req = request(consumer, cell.table, targets);
+    req.config.crash_quarantine_threshold = cell.config.inputs().threshold;
     match (cell.scheduler, cell.engine) {
         (SOLO, Seq) => {
             let bundle = cell.table.bundle();
@@ -380,6 +568,145 @@ fn fleet(cell: &Cell, req: CampaignRequest) -> MutationRun {
     assert_eq!(count("orchestrator.degraded"), None);
     assert_eq!(summary.gauge("orchestrator.slots"), Some(slots as i64));
     runs.into_iter().next().expect("the campaign under test")
+}
+
+/// The naive oracle: each mutant's verdict from the paper's definitions
+/// alone. The mutant is armed on a factory of its own, and the whole
+/// suite runs, then each whole probe suite, and every case's full
+/// transcript is compared with the original program's. There are no
+/// scopes, no selection, no early exit and no cache.
+///
+/// The suite kills a mutant at its first differing case, by the paper's
+/// three criteria: the mutant crashed, a built-in assertion fired in the
+/// mutant but not in the original, or else the output differs. A
+/// mutant the suite leaves alive survives when a probe suite tells it
+/// apart, and is presumed equivalent when none does. Each run is first
+/// checked for quarantine, from the config: a harness stop (budget,
+/// deadline) the original's case does not share, or — with a positive
+/// crash threshold — that many crashes the original does not share.
+fn naive(req: &CampaignRequest) -> MutationRun {
+    let config = &req.config;
+    let switch = MutationSwitch::new();
+    let factory = req.shards.build_factory(&switch);
+    let runner = match config.bit_enabled {
+        true => TestRunner::new(),
+        false => TestRunner::without_bit(),
+    }
+    .with_budget(config.budget)
+    .with_cancel_token(switch.cancel_token().clone());
+    let suites: Vec<_> = std::iter::once(&req.suite)
+        .chain(&config.probe_suites)
+        .collect();
+    let run = |suite| runner.run_suite_under(factory.as_ref(), suite, SpanId::NONE);
+    let originals: Vec<SuiteResult> = suites.iter().map(|suite| run(suite)).collect();
+    let status = || {
+        for (k, (suite, original)) in suites.iter().zip(&originals).enumerate() {
+            let observed = run(suite);
+            if let Some(reason) =
+                naive_quarantine(original, &observed, config.crash_quarantine_threshold)
+            {
+                return MutantStatus::Quarantined { reason };
+            }
+            let mut pairs = original.cases.iter().zip(&observed.cases);
+            match pairs.find(|(o, m)| o.transcript != m.transcript) {
+                None => {}
+                Some(_) if k > 0 => return MutantStatus::Survived,
+                Some((original, mutant)) => {
+                    return MutantStatus::Killed {
+                        reason: naive_kill_reason(original, mutant),
+                        by_case: original.case_id,
+                    }
+                }
+            }
+        }
+        MutantStatus::PresumedEquivalent
+    };
+    let results = req
+        .mutants
+        .iter()
+        .map(|mutant| {
+            switch.arm(mutant.plan.clone());
+            let status = status();
+            switch.disarm();
+            MutantResult {
+                mutant: mutant.clone(),
+                status,
+            }
+        })
+        .collect();
+    let golden = originals.into_iter().next().expect("the suite's run");
+    MutationRun { results, golden }
+}
+
+/// Quarantine from the config: the first harness stop of the mutant's
+/// run that the original's case does not share, or — with a positive
+/// threshold — at least that many crashes the original does not share.
+fn naive_quarantine(
+    original: &SuiteResult,
+    observed: &SuiteResult,
+    threshold: Option<usize>,
+) -> Option<QuarantineReason> {
+    let mut crashes = 0;
+    for (o, m) in original.cases.iter().zip(&observed.cases) {
+        let shared = discriminant(&o.status) == discriminant(&m.status);
+        match m.status {
+            CaseStatus::DeadlineExceeded { .. } if !shared => {
+                return Some(QuarantineReason::Timeout)
+            }
+            CaseStatus::BudgetExhausted { .. } if !shared => return Some(QuarantineReason::Budget),
+            CaseStatus::Panicked { .. } if !shared => crashes += 1,
+            _ => {}
+        }
+    }
+    threshold
+        .filter(|&t| t > 0 && crashes >= t)
+        .map(|_| QuarantineReason::RepeatedCrash)
+}
+
+/// The paper's three kill criteria for a differing case.
+fn naive_kill_reason(original: &CaseResult, mutant: &CaseResult) -> KillReason {
+    match (&mutant.status, &original.status) {
+        (CaseStatus::Panicked { .. }, _) => KillReason::Crash,
+        (CaseStatus::AssertionViolated { .. }, CaseStatus::AssertionViolated { .. }) => {
+            KillReason::OutputDiff
+        }
+        (CaseStatus::AssertionViolated { .. }, _) => KillReason::Assertion,
+        _ => KillReason::OutputDiff,
+    }
+}
+
+/// The naive oracle's run of the table's campaign on `inputs`, computed
+/// once per test binary however many cells ask for it.
+fn oracle(table: Table, inputs: Inputs) -> &'static MutationRun {
+    type Slot = &'static OnceLock<MutationRun>;
+    static ORACLES: Mutex<Vec<(Table, Inputs, Slot)>> = Mutex::new(Vec::new());
+    let slot = {
+        let mut oracles = ORACLES.lock().unwrap_or_else(PoisonError::into_inner);
+        match oracles.iter().find(|(t, i, _)| *t == table && *i == inputs) {
+            Some(&(_, _, slot)) => slot,
+            None => {
+                let slot: Slot = Box::leak(Box::default());
+                oracles.push((table, inputs, slot));
+                slot
+            }
+        }
+    };
+    slot.get_or_init(|| {
+        let mut req = request(&consumer_for(&inputs), table, table.targets());
+        req.config.crash_quarantine_threshold = inputs.threshold;
+        naive(&req)
+    })
+}
+
+/// Cases executed (`case.*` counters): the golden runs plus every
+/// mutant's.
+fn cases_executed(summary: &Summary) -> u64 {
+    summary
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("case."))
+        .map(|(_, total)| *total)
+        .sum()
 }
 
 /// A finished cell: its run and, with telemetry on, its summary.
@@ -582,10 +909,24 @@ fn check_sidecar(table: Table, journal: &Path) {
 /// returns its summary line.
 fn check(cell: &Cell) -> String {
     let table = cell.table;
-    // The cell's own campaign runs before it waits for the reference.
-    let own = (table.reference_cell().id != cell.id).then(|| run_cell(cell));
-    let reference = table.reference();
-    let outcome = own.as_ref().unwrap_or(reference);
+    let config = cell.config;
+    assert!(
+        cell.isolation == THREAD || config == Config::Paper,
+        "shard children rebuild the paper's campaign"
+    );
+    // The cell's own campaign runs beside the naive oracle, before it
+    // waits for the reference.
+    let (own, naive) = std::thread::scope(|scope| {
+        let naive = scope.spawn(|| oracle(table, config.inputs()));
+        let own = (table.reference_cell().id != cell.id).then(|| run_cell(cell));
+        let naive = naive
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (own, naive)
+    });
+    // Another campaign's verdicts come from the naive oracle alone.
+    let reference = config.golden().then(|| table.reference());
+    let outcome = own.as_ref().or(reference).expect("the reference runs");
     let run = &outcome.run;
     for method in table.targets() {
         assert!(
@@ -593,12 +934,30 @@ fn check(cell: &Cell) -> String {
             "no mutant of {method}"
         );
     }
-    check_lines("verdicts", &table.golden(), &verdict_lines(run));
+    if config.golden() {
+        check_lines("verdicts", &table.golden(), &verdict_lines(run));
+    }
+    check_lines("NAIVE", &verdict_lines(naive), &verdict_lines(run));
+    let (expected, whose) = match reference {
+        Some(reference) => (&reference.run, "the sequential engine's"),
+        None => (naive, "the naive oracle's"),
+    };
     assert_eq!(
         report(table, run),
-        report(table, &reference.run),
-        "report differs from the sequential engine's"
+        report(table, expected),
+        "report differs from {whose}"
     );
+    if !config.early_exit() {
+        let summary = outcome
+            .summary
+            .as_ref()
+            .expect("a full-scope cell records telemetry");
+        let (full, twin) = (cases_executed(summary), twin_cases(table, config));
+        assert!(
+            full > twin,
+            "FULL: {full} executed cases, early-exit twin {twin}"
+        );
+    }
     if let Some(summary) = &outcome.summary {
         let counter = |name| summary.counters.get(name).copied();
         assert_eq!(
@@ -636,15 +995,15 @@ fn check(cell: &Cell) -> String {
             }
         };
         assert_eq!(summary.gauge("mutation.workers"), workers, "workers gauge");
-        let expected = reference
-            .summary
-            .as_ref()
-            .expect("the reference records telemetry");
-        assert_eq!(
-            classification(summary),
-            classification(expected),
-            "classification counters"
-        );
+        // The Table-2 reference records none: its cells that do are
+        // checked against the naive oracle and their twins instead.
+        if let Some(expected) = reference.and_then(|r| r.summary.as_ref()) {
+            assert_eq!(
+                classification(summary),
+                classification(expected),
+                "classification counters"
+            );
+        }
     }
     if let Some(journal) = &outcome.journal {
         check_sidecar(table, journal);
@@ -665,7 +1024,17 @@ fn check(cell: &Cell) -> String {
         run.total(),
         run.golden.cases.len(),
         outcome.replayed,
-    )
+    ) + &config.describe(run)
+}
+
+/// Cases the cell's campaign executes with early exit on: the same
+/// campaign without budget or threshold, on the sequential engine.
+fn twin_cases(table: Table, config: Config) -> u64 {
+    let sink = Arc::new(MemorySink::new());
+    let consumer = consumer_for(&config.twin()).with_telemetry(Telemetry::new(sink.clone()));
+    let twin = cell("twin", table, Seq, THREAD, SOLO, ON, Journal::None);
+    campaign(&twin, &consumer, table.targets());
+    cases_executed(&sink.summary())
 }
 
 fn summary_path() -> PathBuf {
