@@ -55,7 +55,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod amplify;
-mod coverage;
 mod generator;
 mod history;
 mod inputs;
@@ -70,7 +69,6 @@ mod selection;
 mod testcase;
 
 pub use amplify::{corpus_candidates, synthesize_candidates, CandidateSynthesis, CorpusReplay};
-pub use coverage::CoverageMatrix;
 pub use generator::{DriverGenerator, Expansion, GenerateError, GeneratorConfig};
 pub use history::{
     new_method_cases, HistoryEntry, InheritanceMap, MethodStatus, ReuseDecision, ReusePlan,

@@ -120,6 +120,14 @@ impl TestCase {
             .collect()
     }
 
+    /// True when the case invokes `method`, as its constructor or as one
+    /// of its calls. This is the coverage contract's reach (DESIGN.md
+    /// §12): only a case that invokes a method can arm a mutated site of
+    /// that method.
+    pub fn invokes(&self, method: &str) -> bool {
+        self.constructor.method == method || self.calls.iter().any(|c| c.method == method)
+    }
+
     /// Total number of invocations including the constructor.
     pub fn len(&self) -> usize {
         1 + self.calls.len()
@@ -238,6 +246,8 @@ mod tests {
     #[test]
     fn method_names_include_constructor_first() {
         assert_eq!(case(0).method_names(), vec!["Product", "UpdateQty"]);
+        assert!(case(0).invokes("Product") && case(0).invokes("UpdateQty"));
+        assert!(!case(0).invokes("Absent"));
         assert_eq!(case(0).len(), 2);
         assert!(!case(0).is_empty());
     }

@@ -200,10 +200,10 @@ fn round_config(
     }
 }
 
-/// Removes round journals (`<journal>.r<n>`, and their `.coverage`
-/// sidecars) numbered beyond the rounds this run executed, so leftovers
-/// from an earlier, longer amplification at the same path can't sit next
-/// to — and be mistaken for — the current rounds. Best-effort: each
+/// Removes round journals (`<journal>.r<n>`) numbered beyond the rounds
+/// this run executed, so leftovers from an earlier, longer amplification
+/// at the same path can't sit next to — and be mistaken for — the
+/// current rounds. Best-effort: each
 /// removal counts `amplify.pruned`, and I/O failures are ignored (a
 /// stale journal that survives pruning is still refused at resume time
 /// by its lineage-bound fingerprint).
@@ -227,8 +227,7 @@ fn prune_stale_round_journals(journal: &Path, rounds_run: usize, telemetry: &Tel
         let Some(rest) = name.strip_prefix(&prefix) else {
             continue;
         };
-        let digits = rest.strip_suffix(".coverage").unwrap_or(rest);
-        let Ok(round) = digits.parse::<usize>() else {
+        let Ok(round) = rest.parse::<usize>() else {
             continue;
         };
         if round > rounds_run && std::fs::remove_file(entry.path()).is_ok() {

@@ -16,15 +16,14 @@
 
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
-use crate::journal::{campaign_fingerprint, campaign_header, parse_campaign_header};
+use crate::journal::campaign_fingerprint;
 use crate::ledger::{CampaignLedger, LeaseOutcome, Ruling, INLINE};
 use crate::shard::process_lease;
 use concat_bit::ComponentFactory;
-use concat_driver::{
-    CaseResult, CaseStatus, CoverageMatrix, SuiteResult, TestCase, TestRunner, TestSuite,
-};
+use concat_driver::{CaseResult, CaseStatus, SuiteResult, TestCase, TestRunner, TestSuite};
 use concat_obs::{MemorySink, SpanId, Telemetry};
-use concat_runtime::{recommended_workers, write_atomic, Budget, CancelToken, RetryPolicy};
+use concat_runtime::{recommended_workers, Budget, CancelToken, RetryPolicy};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -319,12 +318,12 @@ pub struct MutationConfig {
     /// workers, or inline on the calling thread when none survive. Partial
     /// results are never discarded.
     pub worker_restarts: usize,
-    /// Coverage-matrix selection (the fast path): a mutant's scope is the
-    /// positions of the cases whose transactions statically invoke the
-    /// mutated method ([`CoverageMatrix::from_suite`]) instead of every
-    /// position. Every other case cannot reach an armed site (see
-    /// DESIGN.md §12 for the coverage contract) and is skipped, counted
-    /// under the `selection.skipped` telemetry counter. Both settings
+    /// Coverage selection (the fast path): a mutant's scope is the
+    /// positions of the cases whose transactions invoke the mutated
+    /// method ([`TestCase::invokes`]) instead of every position. Every
+    /// other case cannot reach an armed site (see DESIGN.md §12 for the
+    /// coverage contract) and is skipped, counted under the
+    /// `selection.skipped` telemetry counter. Both settings
     /// run the same scope step, and verdicts are identical with the flag
     /// on or off (it is deliberately absent from the campaign
     /// fingerprint, so journals stay interchangeable); `true` by default.
@@ -484,11 +483,11 @@ pub(crate) struct GoldenBaseline {
 }
 
 /// The case positions mutants of one method run, in the main suite and
-/// in each probe suite: the cases whose transactions statically invoke
-/// the method under [`MutationConfig::coverage_selection`], every case
-/// otherwise. Cases left out can never reach an armed site of the method
-/// (the coverage contract), so running only the scope yields the exact
-/// verdict of a full run. Golden results are read by position, which is
+/// in each probe suite: the cases that invoke the method
+/// ([`TestCase::invokes`]) under [`MutationConfig::coverage_selection`],
+/// every case otherwise. Cases left out can never reach an armed site of
+/// the method (the coverage contract), so running only the scope yields
+/// the exact verdict of a full run. Golden results are read by position, which is
 /// valid because the runner constructs a fresh component per case: a
 /// case's result does not depend on which other cases ran around it.
 struct Scope {
@@ -700,9 +699,11 @@ impl<'a> Engine<'a> {
     /// threshold, no case can quarantine the mutant, so the first case
     /// whose transcript differs decides the verdict (`Killed` by that
     /// case on the suite, `Survived` on a probe) and the run stops
-    /// there. The cases after it are neither run nor counted. Any budget,
-    /// deadline or positive threshold runs the whole scope, since a later
-    /// harness stop or crash could still quarantine the mutant.
+    /// there. The cases after it are neither run nor counted, and the
+    /// stop test's comparison is the verdict: no transcript is compared
+    /// twice. Any budget, deadline or positive threshold runs the whole
+    /// scope, since a later harness stop or crash could still quarantine
+    /// the mutant.
     fn run_scope(
         &self,
         harness: &Harness<'_>,
@@ -721,15 +722,32 @@ impl<'a> Engine<'a> {
         if skipped > 0 {
             telemetry.incr_by("selection.skipped", skipped as u64);
         }
+        if !self.early_exit {
+            let observed =
+                runner.run_positions_under(factory, suite, positions, &|_, _| false, parent);
+            let golden_cases = positions.iter().map(|&pos| &golden.cases[pos]);
+            return judge(
+                golden_cases.zip(&observed.cases),
+                self.config.crash_quarantine_threshold,
+            );
+        }
+        let stopped_at = Cell::new(None);
         let differs = |i: usize, observed: &CaseResult| {
-            self.early_exit && golden.cases[positions[i]].transcript != observed.transcript
+            let differs = golden.cases[positions[i]].transcript != observed.transcript;
+            stopped_at.set(differs.then_some(i));
+            differs
         };
         let observed = runner.run_positions_under(factory, suite, positions, &differs, parent);
-        let golden_cases = positions.iter().map(|&pos| &golden.cases[pos]);
-        judge(
-            golden_cases.zip(&observed.cases),
-            self.config.crash_quarantine_threshold,
-        )
+        match stopped_at.get() {
+            Some(i) => {
+                let golden = &golden.cases[positions[i]];
+                ScopeOutcome::Differs {
+                    by_case: golden.case_id,
+                    reason: kill_reason(golden, &observed.cases[i]),
+                }
+            }
+            None => ScopeOutcome::Same,
+        }
     }
 }
 
@@ -771,13 +789,8 @@ pub(crate) fn run_golden(
         .map(|probe| runner.run_suite_under(factory, probe, golden_span.id()))
         .collect();
     golden_span.finish();
-    let matrices: Vec<CoverageMatrix> = std::iter::once(suite)
-        .chain(&config.probe_suites)
-        .map(CoverageMatrix::from_suite)
-        .collect();
-    let positions = |suite: &TestSuite, matrix: &CoverageMatrix, method: &str| -> Vec<usize> {
-        let selected =
-            |case: &TestCase| !config.coverage_selection || matrix.covers(case.id, method);
+    let positions = |suite: &TestSuite, method: &str| -> Vec<usize> {
+        let selected = |case: &TestCase| !config.coverage_selection || case.invokes(method);
         suite
             .iter()
             .enumerate()
@@ -790,12 +803,11 @@ pub(crate) fn run_golden(
         .into_iter()
         .map(|method| {
             let scope = Scope {
-                suite: positions(suite, &matrices[0], method),
+                suite: positions(suite, method),
                 probes: config
                     .probe_suites
                     .iter()
-                    .zip(&matrices[1..])
-                    .map(|(probe, matrix)| positions(probe, matrix, method))
+                    .map(|probe| positions(probe, method))
                     .collect(),
             };
             (method.to_owned(), scope)
@@ -805,72 +817,6 @@ pub(crate) fn run_golden(
         golden,
         probes,
         scopes,
-    }
-}
-
-/// Persists the suite's case × feature coverage matrix next to the
-/// campaign journal (`<journal>.coverage`), atomically, stamped with the
-/// campaign fingerprint (`campaign <fp>` first line) so a stale sidecar
-/// left by a previous campaign at the same path is detectable — see
-/// [`load_campaign_coverage`]. Like every other durability consumer, a
-/// write failure degrades instead of aborting the campaign — but loudly:
-/// `harden.degraded` plus a dedicated `coverage.write_failed` counter
-/// (surfaced in the harness-health table), and a `coverage.write_failed`
-/// span naming the path and error in the flight recorder, so a silently
-/// missing `.coverage` file can't masquerade as a healthy run.
-pub(crate) fn persist_coverage(
-    config: &MutationConfig,
-    suite: &TestSuite,
-    fingerprint: Option<u32>,
-    telemetry: &Telemetry,
-) {
-    // The fingerprint is known whenever a journal path is configured.
-    let (Some(path), Some(fingerprint)) = (&config.journal_path, fingerprint) else {
-        return;
-    };
-    let coverage_path = PathBuf::from(format!("{}.coverage", path.display()));
-    let text = campaign_header(fingerprint) + "\n" + &CoverageMatrix::from_suite(suite).to_text();
-    if let Err(error) = write_atomic(&coverage_path, text.as_bytes()) {
-        telemetry.incr("harden.degraded");
-        telemetry.incr("coverage.write_failed");
-        telemetry
-            .span_with("coverage.write_failed", || {
-                format!("{}: {error}", coverage_path.display())
-            })
-            .finish();
-    }
-}
-
-/// Loads a coverage sidecar persisted by a journaled campaign, validating
-/// its provenance: the file's `campaign <fp>` stamp must match
-/// `fingerprint`. A stamp mismatch — a stale sidecar left by a different
-/// campaign at the same path — is refused rather than returned, and an
-/// unstamped file (written before provenance stamping) is likewise
-/// refused, so callers never mistake another campaign's matrix for this
-/// one's.
-///
-/// # Errors
-///
-/// `Err` with a human-readable reason on read failure, a missing or
-/// mismatched stamp, or a malformed matrix body.
-pub fn load_campaign_coverage(
-    path: impl AsRef<std::path::Path>,
-    fingerprint: u32,
-) -> Result<CoverageMatrix, String> {
-    let path = path.as_ref();
-    let fail = |why: String| format!("{}: {why}", path.display());
-    let text = std::fs::read_to_string(path).map_err(|e| fail(format!("read failed: {e}")))?;
-    let (stamp, body) = text
-        .split_once('\n')
-        .ok_or_else(|| fail("empty coverage sidecar".into()))?;
-    match parse_campaign_header(stamp) {
-        None => Err(fail(
-            "missing or malformed `campaign <fingerprint>` stamp".into(),
-        )),
-        Some(stamped) if stamped != fingerprint => Err(fail(format!(
-            "stale coverage sidecar (stamped {stamped:08x}, campaign is {fingerprint:08x})"
-        ))),
-        Some(_) => CoverageMatrix::from_text(body).map_err(|e| fail(e.to_string())),
     }
 }
 
@@ -912,7 +858,6 @@ pub fn run_mutation_analysis(
     let runner = build_runner(config, telemetry, switch);
     switch.disarm();
     let baseline = run_golden(&runner, factory, suite, mutants, config, telemetry);
-    persist_coverage(config, suite, ledger.fingerprint(), telemetry);
     let engine = Engine::new(suite, mutants, config, &baseline);
     let harness = Harness {
         factory,
@@ -990,7 +935,6 @@ pub fn run_mutation_analysis_parallel(
         config,
         telemetry,
     );
-    persist_coverage(config, suite, ledger.fingerprint(), telemetry);
     // The gauge reflects the configured pool for the whole campaign (not
     // the post-replay remainder), so a resumed run renders the same
     // harness-health row as the uninterrupted one.
@@ -1127,58 +1071,51 @@ fn lock(ledger: &Mutex<CampaignLedger>) -> MutexGuard<'_, CampaignLedger> {
     ledger.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Judges a scope run from its `(golden, observed)` case pairs. Harness
-/// stops describe the execution environment, not the component's
-/// behaviour, so quarantine is decided before the kill classifier: a
-/// timed-out mutant is never miscounted as a crash kill.
+/// Judges a scope run from its `(golden, observed)` case pairs, in one
+/// walk. Harness stops describe the execution environment, not the
+/// component's behaviour, so quarantine outranks every difference: any
+/// harness stop (deadline/budget) the golden case does not share, or —
+/// when a threshold is configured — enough mutant-only crashes to look
+/// environment-threatening, wherever they occur in the run. A timed-out
+/// mutant is never miscounted as a crash kill. Otherwise the first case
+/// whose transcript differs decides the kill.
 fn judge<'r>(
-    pairs: impl Iterator<Item = (&'r CaseResult, &'r CaseResult)> + Clone,
-    crash_threshold: Option<usize>,
-) -> ScopeOutcome {
-    match quarantine_reason(pairs.clone(), crash_threshold) {
-        Some(reason) => ScopeOutcome::Quarantined(reason),
-        None => match first_difference(pairs) {
-            Some((by_case, reason)) => ScopeOutcome::Differs { by_case, reason },
-            None => ScopeOutcome::Same,
-        },
-    }
-}
-
-/// Decides whether an observed run must be quarantined, from its
-/// `(golden, observed)` case pairs: any harness stop (deadline/budget)
-/// the golden case does not share, or — when a threshold is configured —
-/// enough mutant-only crashes to look environment-threatening. A harness
-/// stop outranks every crash, wherever it occurs in the run.
-fn quarantine_reason<'r>(
     pairs: impl IntoIterator<Item = (&'r CaseResult, &'r CaseResult)>,
     crash_threshold: Option<usize>,
-) -> Option<QuarantineReason> {
+) -> ScopeOutcome {
     let mut mutant_only_crashes = 0;
+    let mut first_difference = None;
     for (golden, observed) in pairs {
         match (&observed.status, &golden.status) {
             (CaseStatus::DeadlineExceeded { .. }, CaseStatus::DeadlineExceeded { .. })
             | (CaseStatus::BudgetExhausted { .. }, CaseStatus::BudgetExhausted { .. })
             | (CaseStatus::Panicked { .. }, CaseStatus::Panicked { .. }) => {}
-            (CaseStatus::DeadlineExceeded { .. }, _) => return Some(QuarantineReason::Timeout),
-            (CaseStatus::BudgetExhausted { .. }, _) => return Some(QuarantineReason::Budget),
+            (CaseStatus::DeadlineExceeded { .. }, _) => {
+                return ScopeOutcome::Quarantined(QuarantineReason::Timeout)
+            }
+            (CaseStatus::BudgetExhausted { .. }, _) => {
+                return ScopeOutcome::Quarantined(QuarantineReason::Budget)
+            }
             (CaseStatus::Panicked { .. }, _) => mutant_only_crashes += 1,
             _ => {}
         }
+        if first_difference.is_none() && golden.transcript != observed.transcript {
+            first_difference = Some(ScopeOutcome::Differs {
+                by_case: golden.case_id,
+                reason: kill_reason(golden, observed),
+            });
+        }
     }
-    let threshold = crash_threshold?;
-    (threshold > 0 && mutant_only_crashes >= threshold).then_some(QuarantineReason::RepeatedCrash)
+    if crash_threshold.is_some_and(|t| t > 0 && mutant_only_crashes >= t) {
+        return ScopeOutcome::Quarantined(QuarantineReason::RepeatedCrash);
+    }
+    first_difference.unwrap_or(ScopeOutcome::Same)
 }
 
-/// Finds the first distinguishing `(golden, observed)` case pair and
-/// derives the kill reason per the paper's three criteria. Stops at the
-/// first case whose transcript differs; no divergence is rendered.
-fn first_difference<'r>(
-    pairs: impl IntoIterator<Item = (&'r CaseResult, &'r CaseResult)>,
-) -> Option<(usize, KillReason)> {
-    let (g, o) = pairs
-        .into_iter()
-        .find(|(g, o)| g.transcript != o.transcript)?;
-    let reason = match (&o.status, &g.status) {
+/// The kill reason of a differing `(golden, observed)` case pair, per
+/// the paper's three criteria.
+fn kill_reason(golden: &CaseResult, observed: &CaseResult) -> KillReason {
+    match (&observed.status, &golden.status) {
         (CaseStatus::Panicked { .. }, _) => KillReason::Crash,
         (CaseStatus::AssertionViolated { .. }, CaseStatus::AssertionViolated { .. }) => {
             // Both runs violate an assertion but transcripts differ: the
@@ -1187,8 +1124,7 @@ fn first_difference<'r>(
         }
         (CaseStatus::AssertionViolated { .. }, _) => KillReason::Assertion,
         _ => KillReason::OutputDiff,
-    };
-    Some((g.case_id, reason))
+    }
 }
 
 type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
@@ -1529,6 +1465,28 @@ mod tests {
         let expected =
             run.killed() as f64 / (run.total() - run.equivalent() - run.quarantined()) as f64;
         assert!((run.score() - expected).abs() < 1e-12);
+    }
+
+    /// Whether `judge` quarantines the run, and why.
+    fn quarantine_reason<'r>(
+        pairs: impl IntoIterator<Item = (&'r CaseResult, &'r CaseResult)>,
+        crash_threshold: Option<usize>,
+    ) -> Option<QuarantineReason> {
+        match judge(pairs, crash_threshold) {
+            ScopeOutcome::Quarantined(reason) => Some(reason),
+            _ => None,
+        }
+    }
+
+    /// The kill `judge` reads from the first differing pair, harness
+    /// stops aside.
+    fn first_difference<'r>(
+        pairs: impl IntoIterator<Item = (&'r CaseResult, &'r CaseResult)>,
+    ) -> Option<(usize, KillReason)> {
+        let (golden, observed) = pairs
+            .into_iter()
+            .find(|(golden, observed)| golden.transcript != observed.transcript)?;
+        Some((golden.case_id, kill_reason(golden, observed)))
     }
 
     /// A one-call case result whose transcript records `value`.

@@ -28,7 +28,7 @@
 
 use crate::analysis::{KillReason, MutantStatus, MutationConfig, QuarantineReason};
 use crate::enumerate::Mutant;
-use concat_driver::{CoverageMatrix, TestSuite};
+use concat_driver::TestSuite;
 use concat_runtime::{crc32, open_headered, Fields, Headered, Journal};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -72,7 +72,7 @@ pub fn campaign_fingerprint(
 }
 
 /// The header naming a campaign: the first record of its verdict
-/// journal and the first line of its coverage sidecar.
+/// journal.
 pub fn campaign_header(fingerprint: u32) -> String {
     format!("campaign {fingerprint:08x}")
 }
@@ -98,8 +98,8 @@ pub fn parse_campaign_header(record: &str) -> Option<u32> {
 pub struct FeatureFingerprint {
     /// The mutated interface method.
     pub method: String,
-    /// CRC-32 over the method's mutants (id-free), its covering cases
-    /// from the killing and probe suites, and the verdict-relevant
+    /// CRC-32 over the method's mutants (id-free), the cases invoking it
+    /// in the killing and probe suites, and the verdict-relevant
     /// configuration.
     pub fingerprint: u32,
     /// Campaign-global mutant ids belonging to this method, in order.
@@ -110,9 +110,10 @@ pub struct FeatureFingerprint {
 /// [`FeatureFingerprint`]). A method's sub-fingerprint covers exactly
 /// what can change its mutants' verdicts: the method's own mutant list
 /// (rendered without campaign-global ids, which are an artifact of
-/// enumeration order), the cases that statically cover the method in the
-/// killing suite and in each probe suite (the coverage contract says no
-/// other case can arm its mutants), and the verdict-relevant
+/// enumeration order), the cases that invoke the method
+/// ([`concat_driver::TestCase::invokes`]) in the killing suite and in
+/// each probe suite (the coverage contract says no other case can arm
+/// its mutants), and the verdict-relevant
 /// configuration. Suite seeds and campaign-global structure are
 /// deliberately excluded so an unrelated method's change never
 /// invalidates this one.
@@ -122,12 +123,6 @@ pub fn method_fingerprints(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> Vec<FeatureFingerprint> {
-    let coverage = CoverageMatrix::from_suite(suite);
-    let probe_coverage: Vec<CoverageMatrix> = config
-        .probe_suites
-        .iter()
-        .map(CoverageMatrix::from_suite)
-        .collect();
     // Group mutants by method, keeping first-appearance order; campaign-
     // global ids are an artifact of enumeration order and must not
     // influence the sub-fingerprint.
@@ -147,13 +142,12 @@ pub fn method_fingerprints(
             let mut text = String::new();
             let _ = writeln!(text, "class {class_name}");
             let _ = writeln!(text, "method {method}");
-            for case in suite.cases.iter().filter(|c| coverage.covers(c.id, method)) {
+            for case in suite.cases.iter().filter(|c| c.invokes(method)) {
                 let _ = writeln!(text, "case {case:?}");
             }
             for (index, probe) in config.probe_suites.iter().enumerate() {
                 let _ = writeln!(text, "probe {index}");
-                let covering = &probe_coverage[index];
-                for case in probe.cases.iter().filter(|c| covering.covers(c.id, method)) {
+                for case in probe.cases.iter().filter(|c| c.invokes(method)) {
                     let _ = writeln!(text, "probe-case {case:?}");
                 }
             }

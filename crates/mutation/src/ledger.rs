@@ -160,12 +160,6 @@ impl CampaignLedger {
         ledger
     }
 
-    /// The campaign fingerprint (`Some` whenever a journal path is
-    /// configured): the provenance stamp of the coverage sidecar.
-    pub(crate) fn fingerprint(&self) -> Option<u32> {
-        self.journal.fingerprint
-    }
-
     /// Verdicts replayed from the journal when the ledger opened.
     pub(crate) fn replayed(&self) -> usize {
         self.replayed
@@ -427,9 +421,6 @@ fn record_status(telemetry: &Telemetry, status: &MutantStatus) {
 /// authoritative, like the other retry-then-degrade consumers).
 struct JournalState {
     inner: Option<CampaignJournal>,
-    /// The campaign fingerprint, computed whenever a journal path is
-    /// configured (even if opening it later degraded).
-    fingerprint: Option<u32>,
     telemetry: Telemetry,
 }
 
@@ -448,7 +439,6 @@ impl JournalState {
             return (
                 JournalState {
                     inner: None,
-                    fingerprint: None,
                     telemetry,
                 },
                 Vec::new(),
@@ -473,14 +463,7 @@ impl JournalState {
                 (None, Vec::new())
             }
         };
-        (
-            JournalState {
-                inner,
-                fingerprint: Some(fingerprint),
-                telemetry,
-            },
-            replayed,
-        )
+        (JournalState { inner, telemetry }, replayed)
     }
 
     /// Write-ahead append of one verdict, before it is merged into its

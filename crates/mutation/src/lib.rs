@@ -76,9 +76,8 @@ pub use amplify::{
     amplify_suite, amplify_suite_parallel, AmplifyConfig, AmplifyOutcome, RoundReport,
 };
 pub use analysis::{
-    load_campaign_coverage, run_mutation_analysis, run_mutation_analysis_parallel, IsolationMode,
-    KillReason, MutantResult, MutantStatus, MutationConfig, MutationRun, ProcessIsolation,
-    QuarantineReason,
+    run_mutation_analysis, run_mutation_analysis_parallel, IsolationMode, KillReason, MutantResult,
+    MutantStatus, MutationConfig, MutationRun, ProcessIsolation, QuarantineReason,
 };
 pub use enumerate::{enumerate_mutants, expected_count, Mutant};
 pub use fault::{coerce_int, ClonableFactory, FaultPlan, MutationSwitch, Replacement, VarEnv};

@@ -46,9 +46,8 @@
 //! prefix a resume replays.
 
 use crate::analysis::{
-    build_harness, build_runner, persist_coverage, Engine, GoldenBaseline, Harness, IsolationMode,
-    MutantResult, MutantStatus, MutationConfig, MutationRun, PanicSilencer, ProcessIsolation,
-    QuarantineReason,
+    build_harness, build_runner, Engine, GoldenBaseline, Harness, IsolationMode, MutantResult,
+    MutantStatus, MutationConfig, MutationRun, PanicSilencer, ProcessIsolation, QuarantineReason,
 };
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
@@ -786,7 +785,6 @@ impl Fleet {
             id.0,
             &scoped,
         );
-        persist_coverage(&data.config, &data.suite, ledger.fingerprint(), &scoped);
         if ledger.replayed() > 0 {
             self.config.telemetry.incr("orchestrator.resumed");
         }

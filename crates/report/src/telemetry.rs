@@ -87,7 +87,7 @@ pub fn render_telemetry_summary(title: &str, summary: &Summary) -> String {
 /// short description each. Listed explicitly (rather than filtering the
 /// summary by prefix) so a healthy run still renders every row with an
 /// explicit `0` — absence of evidence is made visible.
-const HARNESS_COUNTERS: [(&str, &str); 28] = [
+const HARNESS_COUNTERS: [(&str, &str); 27] = [
     ("orchestrator.admitted", "campaigns admitted to the fleet"),
     (
         "orchestrator.rejected",
@@ -106,10 +106,6 @@ const HARNESS_COUNTERS: [(&str, &str); 28] = [
     ("orchestrator.leases", "mutant leases handed to fleet slots"),
     ("harden.retry", "I/O retries after transient failures"),
     ("harden.degraded", "sinks degraded after retry exhaustion"),
-    (
-        "coverage.write_failed",
-        "coverage sidecar writes that failed (sidecar stale)",
-    ),
     ("mutation.quarantined", "mutants excluded from the score"),
     (
         "case.deadline_exceeded",
@@ -279,7 +275,7 @@ pub fn render_fleet_table(title: &str, rows: &[FleetCampaignRow]) -> String {
 /// the recorded stream are rendered.
 const ATTRIBUTION_PHASES: [(&str, &str); 10] = [
     ("mutation", "whole campaign (wall)"),
-    ("golden", "baseline run + coverage capture"),
+    ("golden", "baseline suite and probe runs"),
     ("worker", "parallel worker lifetimes"),
     ("mutant", "mutant test execution"),
     ("probe", "oracle-validity probes"),

@@ -77,6 +77,9 @@
 //! it with `--features seeded-bugs`, `cmp`s two same-seed runs, and
 //! smoke-tests replay-from-corpus.
 
+#[path = "mutation_demo/manifest.rs"]
+mod manifest;
+
 use concat::bit::{BitControl, BuiltInTest, ComponentFactory, StateReport, TestableComponent};
 use concat::components::{sortable_inventory, sortable_spec, CSortableObListFactory};
 use concat::core::{Consumer, SelfTestable, SelfTestableBuilder};
@@ -95,6 +98,7 @@ use concat::runtime::{
     TestException, Value,
 };
 use concat::tspec::{ClassSpec, ClassSpecBuilder, MethodCategory};
+use manifest::ManifestEntry;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -545,17 +549,6 @@ fn verdict_report(run: &concat::mutation::MutationRun) -> String {
 /// process shards which subject's campaign to rebuild.
 const SERVER_SUBJECT_ENV: &str = "CONCAT_SERVER_SUBJECT";
 
-/// One `server.manifest` line: a campaign the service accepted, with
-/// everything needed to resubmit it after a restart.
-#[derive(Clone)]
-struct ManifestEntry {
-    name: String,
-    subject: String,
-    priority: u8,
-    budget: Option<u64>,
-    phase: String,
-}
-
 /// State shared between the command loop and the per-campaign waiter
 /// threads: the manifest, in order of first submission, mirrored
 /// atomically to `<dir>/server.manifest` on every change.
@@ -589,41 +582,19 @@ impl ServerState {
     /// journals are write-ahead per verdict, so manifest + journals are
     /// always a consistent checkpoint.
     fn rewrite(&self, manifest: &[ManifestEntry]) {
-        let mut text = String::new();
-        for e in manifest {
-            let budget = e.budget.map_or_else(|| "-".to_owned(), |b| b.to_string());
-            text.push_str(&format!(
-                "campaign {} {} {} {} {}\n",
-                e.name, e.subject, e.priority, budget, e.phase
-            ));
-        }
+        let text: String = manifest.iter().map(|e| e.encode() + "\n").collect();
         write_atomic(self.dir.join("server.manifest"), text.as_bytes())
             .expect("manifest written atomically");
     }
 }
 
-/// Reads `server.manifest` back: one
-/// `campaign <name> <subject> <priority> <budget|-> <phase>` line per
-/// campaign. Unparseable lines are skipped.
+/// Reads `server.manifest` back, one [`ManifestEntry`] per line. A line
+/// that does not decode exactly is skipped.
 fn read_manifest(path: &Path) -> Vec<ManifestEntry> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
-    text.lines()
-        .filter_map(|line| {
-            let tok: Vec<&str> = line.split_whitespace().collect();
-            if tok.len() != 6 || tok[0] != "campaign" {
-                return None;
-            }
-            Some(ManifestEntry {
-                name: tok[1].to_owned(),
-                subject: tok[2].to_owned(),
-                priority: tok[3].parse().unwrap_or(0),
-                budget: tok[4].parse().ok(),
-                phase: tok[5].to_owned(),
-            })
-        })
-        .collect()
+    text.lines().filter_map(ManifestEntry::decode).collect()
 }
 
 /// Builds one subject's campaign request for the server: `delay` is the

@@ -25,8 +25,7 @@ use concat::components::{
 use concat::core::WalkRecord;
 use concat::driver::{
     generate_walk, load_history, load_sequence, load_suite, save_history, save_sequence,
-    save_suite, CoverageMatrix, DriverGenerator, FailureKind, TestSuite, TestingHistory,
-    WalkConfig,
+    save_suite, DriverGenerator, FailureKind, TestSuite, TestingHistory, WalkConfig,
 };
 use concat::mutation::{
     campaign_header, decode_feature, decode_verdict, encode_feature, encode_shard_indices,
@@ -41,6 +40,10 @@ use concat::tspec::{parse_tspec, print_tspec, ClassSpec};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+
+#[path = "../examples/mutation_demo/manifest.rs"]
+mod manifest;
+use manifest::ManifestEntry;
 
 /// Seeded byte mutations per seed encoding.
 const MUTATIONS: usize = 200;
@@ -466,38 +469,43 @@ fn shard_index_lists() {
 }
 
 #[test]
-fn coverage_sidecars() {
-    let mut empty = CoverageMatrix::new("Empty");
-    empty.record(3, Vec::new());
-    let mut seeds: Vec<(u32, CoverageMatrix)> = suites()
-        .iter()
-        .zip([0x8319_a4b8, 0, 1, u32::MAX, 0xfeed_f00d])
-        .map(|(suite, fp)| (fp, CoverageMatrix::from_suite(suite)))
-        .collect();
-    seeds.push((7, empty));
+fn server_manifest_lines() {
+    let entry = |name: &str, subject: &str, priority, budget, phase: &str| ManifestEntry {
+        name: name.into(),
+        subject: subject.into(),
+        priority,
+        budget,
+        phase: phase.into(),
+    };
     check(Format {
-        name: "coverage sidecar",
-        seeds,
-        encode: |(fp, matrix): &(u32, CoverageMatrix)| {
-            campaign_header(*fp) + "\n" + &matrix.to_text()
-        },
-        decode: |text: &str| {
-            let (stamp, body) = text.split_once('\n')?;
-            Some((
-                parse_campaign_header(stamp)?,
-                CoverageMatrix::from_text(body).ok()?,
-            ))
-        },
+        name: "server.manifest line",
+        seeds: vec![
+            entry("d1", "delay", 0, None, "queued"),
+            entry("s1", "sortable", 2, Some(40), "completed"),
+            entry("d2", "delay", u8::MAX, Some(0), "cancelled"),
+            entry(
+                "x",
+                "sortable",
+                1,
+                Some(u64::MAX),
+                "degraded(budget-exhausted)",
+            ),
+        ],
+        encode: ManifestEntry::encode,
+        decode: ManifestEntry::decode,
         canonical: true,
         rejects: &[
-            "campaign 00000001\ncoverage C\n\ncase 0 A\n",
-            "campaign 00000001\ncoverage C\ncase 0 B A\n",
-            "campaign 00000001\ncoverage C\ncase 0 A A\n",
-            "campaign 00000001\ncoverage C\ncase 1 A\ncase 0 A\n",
-            "campaign 00000001\ncoverage C\ncase 01 A\n",
-            "campaign 00000001\ncoverage C\ncase 0 A",
-            "campaign 00000001\ncoverage C\ncase 0  A\n",
-            "campaign 0000000G\ncoverage C\n",
+            "campaign d1 delay 0 - queued extra",
+            "campaign d1 delay 0 - queued ",
+            "campaign d1 delay 0 -",
+            "campaign d1 delay x - queued",
+            "campaign d1 delay 256 - queued",
+            "campaign d1 delay 01 - queued",
+            "campaign d1 delay 0 4x queued",
+            "campaign d1 delay 0 +4 queued",
+            "campaign d1 delay 0 -- queued",
+            "campaign d1  delay 0 - queued",
+            "task d1 delay 0 - queued",
         ],
     });
 }
@@ -682,14 +690,4 @@ fn format_goldens_re_encode_byte_identically() {
         })
         .collect();
     assert!(reencoded.as_bytes() == stream, "shard frames re-encode");
-
-    let sidecar =
-        std::fs::read_to_string(golden("verdicts.journal.coverage")).expect("fixture readable");
-    let (stamp, body) = sidecar.split_once('\n').expect("stamp line");
-    let fingerprint = parse_campaign_header(stamp).expect("stamp decodes");
-    let matrix = CoverageMatrix::from_text(body).expect("matrix decodes");
-    assert_eq!(
-        campaign_header(fingerprint) + "\n" + &matrix.to_text(),
-        sidecar
-    );
 }

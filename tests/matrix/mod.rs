@@ -15,7 +15,8 @@
 //! 3. its axis facts: the replayed count, `mutation.incremental_rebuild`,
 //!    one mutant span per executed mutant, the `mutation.workers` gauge,
 //!    the classification counters, the fleet's `orchestrator.*` counters
-//!    and the coverage sidecar's campaign stamp.
+//!    and, for a journaled cell, that no file but the journal is left
+//!    beside it.
 //!
 //! Every cell also checks the `NAIVE` fact: its verdicts equal those of
 //! the naive oracle ([`naive`]), a classifier written from the paper's
@@ -47,10 +48,10 @@
 use concat::core::{Consumer, SelfTestable};
 use concat::driver::{CaseResult, CaseStatus, Expansion, GeneratorConfig, SuiteResult, TestRunner};
 use concat::mutation::{
-    load_campaign_coverage, run_mutation_analysis, run_mutation_analysis_parallel, CampaignEnd,
-    CampaignPhase, CampaignRequest, IsolationMode, KillReason, MutantResult, MutantStatus,
-    MutationMatrix, MutationRun, MutationSwitch, Orchestrator, OrchestratorConfig,
-    ProcessIsolation, QuarantineReason,
+    run_mutation_analysis, run_mutation_analysis_parallel, CampaignEnd, CampaignPhase,
+    CampaignRequest, IsolationMode, KillReason, MutantResult, MutantStatus, MutationMatrix,
+    MutationRun, MutationSwitch, Orchestrator, OrchestratorConfig, ProcessIsolation,
+    QuarantineReason,
 };
 use concat::obs::{MemorySink, SpanId, Summary, Telemetry};
 use concat::report::{render_score_table, summarize_run};
@@ -335,8 +336,10 @@ const MATRIX: &[(&str, &[Cell])] = &[
     ("completed_journal_replays_everything_without_reexecution", &[
         cell("Q3-RESUME-FULL-W2",    T3, W(2), THREAD, SOLO,  ON,  Journal::Complete),
     ]),
-    ("coverage_sidecar_is_fingerprint_stamped_and_refuses_stale_loads", &[
+    ("journaled_process_campaign_replays_on_rerun", &[
         cell("Q3-RESUME-FULL-PROC2", T3, W(2), PROC,   SOLO,  ON,  Journal::Complete),
+    ]),
+    ("incremental_campaign_replays_across_isolation_modes", &[
         cell("Q3-INC-WARM-PROC2",    T3, W(2), PROC,   SOLO,  ON,  Journal::IncWarm),
     ]),
     ("warm_rerun_of_unchanged_campaign_is_pure_replay", &[
@@ -878,31 +881,22 @@ fn classification(summary: &Summary) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// The journal's coverage sidecar carries the journal's campaign stamp;
-/// a stale stamp and a missing one are both refused.
-fn check_sidecar(table: Table, journal: &Path) {
-    let head = std::fs::read_to_string(journal).expect("journal readable");
-    let header = head.lines().next().expect("journal has a header");
-    let stamp = header
-        .rsplit(' ')
-        .next()
-        .expect("header carries a fingerprint");
-    let fingerprint = u32::from_str_radix(stamp, 16).expect("fingerprint is hex");
-    let sidecar = PathBuf::from(format!("{}.coverage", journal.display()));
-    let text = std::fs::read_to_string(&sidecar).expect("coverage sidecar written");
-    assert!(
-        text.starts_with(&format!("campaign {fingerprint:08x}\n")),
-        "sidecar carries the campaign stamp: {}",
-        text.lines().next().unwrap_or("")
-    );
-    let coverage = load_campaign_coverage(&sidecar, fingerprint).expect("stamped sidecar loads");
-    assert!(table.targets().iter().any(|m| coverage.covers(0, m)));
-    let err = load_campaign_coverage(&sidecar, fingerprint ^ 1).expect_err("stale stamp refused");
-    assert!(err.contains("stale"), "{err}");
-    let body = text.split_once('\n').expect("stamp line").1;
-    std::fs::write(&sidecar, body).expect("strip stamp");
-    let err = load_campaign_coverage(&sidecar, fingerprint).expect_err("unstamped refused");
-    assert!(err.contains("stamp"), "{err}");
+/// The journal is the only file a journaled campaign leaves in its
+/// directory: no `<journal>.coverage` sidecar or other companion.
+fn check_journal_alone(journal: &Path) {
+    let dir = journal.parent().expect("scratch dir");
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("scratch dir readable")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    assert_eq!(names, ["verdicts.journal"], "files beside the journal");
 }
 
 /// Runs one cell and checks its verdicts, report and axis facts;
@@ -1006,7 +1000,7 @@ fn check(cell: &Cell) -> String {
         }
     }
     if let Some(journal) = &outcome.journal {
-        check_sidecar(table, journal);
+        check_journal_alone(journal);
         let _ = std::fs::remove_dir_all(journal.parent().expect("scratch dir"));
     }
     format!(
