@@ -951,7 +951,9 @@ pub fn run_mutation_analysis_parallel(
         let process = match &config.isolation {
             IsolationMode::Process(spec) => Some((
                 spec,
-                campaign_fingerprint(shards.class_name(), suite, mutants, config),
+                ledger.fingerprint().unwrap_or_else(|| {
+                    campaign_fingerprint(shards.class_name(), suite, mutants, config)
+                }),
             )),
             IsolationMode::InThread => None,
         };

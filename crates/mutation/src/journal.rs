@@ -29,9 +29,9 @@
 use crate::analysis::{KillReason, MutantStatus, MutationConfig, QuarantineReason};
 use crate::enumerate::Mutant;
 use concat_driver::TestSuite;
-use concat_runtime::{crc32, open_headered, Fields, Headered, Journal};
+use concat_runtime::{open_headered, Crc32, Fields, Headered, Journal};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::Path;
 
@@ -49,26 +49,7 @@ pub fn campaign_fingerprint(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> u32 {
-    let mut text = String::new();
-    let _ = writeln!(text, "class {class_name}");
-    let _ = writeln!(text, "suite {} {}", suite.seed, suite.cases.len());
-    for case in &suite.cases {
-        let _ = writeln!(text, "case {case:?}");
-    }
-    for probe in &config.probe_suites {
-        let _ = writeln!(text, "probe {} {}", probe.seed, probe.cases.len());
-        for case in &probe.cases {
-            let _ = writeln!(text, "probe-case {case:?}");
-        }
-    }
-    write_config(&mut text, config);
-    for mutant in mutants {
-        let _ = writeln!(text, "mutant {mutant}");
-    }
-    if let Some(lineage) = config.lineage {
-        let _ = writeln!(text, "lineage {lineage:08x}");
-    }
-    crc32(text.as_bytes())
+    fingerprint_campaign(class_name, suite, mutants, config, false).0
 }
 
 /// The header naming a campaign: the first record of its verdict
@@ -123,56 +104,100 @@ pub fn method_fingerprints(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> Vec<FeatureFingerprint> {
-    // Group mutants by method, keeping first-appearance order; campaign-
+    fingerprint_campaign(class_name, suite, mutants, config, true).1
+}
+
+/// The campaign fingerprint and, when `features` is set, the per-method
+/// sub-fingerprints, in one walk over the suite and probe cases. Each
+/// case is rendered once into a reused buffer and fed to the campaign
+/// hasher and to the hasher of every method it invokes; the hashed bytes
+/// are exactly the line-per-item texts the two fingerprints are defined
+/// over, but no text is ever built whole.
+pub(crate) fn fingerprint_campaign(
+    class_name: &str,
+    suite: &TestSuite,
+    mutants: &[Mutant],
+    config: &MutationConfig,
+    features: bool,
+) -> (u32, Vec<FeatureFingerprint>) {
+    let mut campaign = Crc32::new();
+    let _ = writeln!(campaign, "class {class_name}");
+    let _ = writeln!(campaign, "suite {} {}", suite.seed, suite.cases.len());
+    // Mutants grouped by method, in first-appearance order; campaign-
     // global ids are an artifact of enumeration order and must not
-    // influence the sub-fingerprint.
-    let mut groups: Vec<(&str, Vec<&Mutant>)> = Vec::new();
-    for mutant in mutants {
-        match groups
-            .iter_mut()
-            .find(|(method, _)| *method == mutant.method())
-        {
-            Some((_, group)) => group.push(mutant),
-            None => groups.push((mutant.method(), vec![mutant])),
-        }
-    }
-    groups
-        .into_iter()
-        .map(|(method, group)| {
-            let mut text = String::new();
-            let _ = writeln!(text, "class {class_name}");
-            let _ = writeln!(text, "method {method}");
-            for case in suite.cases.iter().filter(|c| c.invokes(method)) {
-                let _ = writeln!(text, "case {case:?}");
-            }
-            for (index, probe) in config.probe_suites.iter().enumerate() {
-                let _ = writeln!(text, "probe {index}");
-                for case in probe.cases.iter().filter(|c| c.invokes(method)) {
-                    let _ = writeln!(text, "probe-case {case:?}");
+    // influence a sub-fingerprint.
+    let mut groups: Vec<(&str, Vec<&Mutant>, Crc32)> = Vec::new();
+    if features {
+        for mutant in mutants {
+            match groups.iter_mut().find(|(m, ..)| *m == mutant.method()) {
+                Some((_, group, _)) => group.push(mutant),
+                None => {
+                    let mut hasher = Crc32::new();
+                    let _ = writeln!(hasher, "class {class_name}");
+                    let _ = writeln!(hasher, "method {}", mutant.method());
+                    groups.push((mutant.method(), vec![mutant], hasher));
                 }
             }
-            write_config(&mut text, config);
+        }
+    }
+    let mut rendered = String::new();
+    let probes = config.probe_suites.iter().enumerate();
+    let suites = std::iter::once((None, suite)).chain(probes.map(|(i, p)| (Some(i), p)));
+    for (probe, cases) in suites {
+        let tag = match probe {
+            None => "case",
+            Some(index) => {
+                let _ = writeln!(campaign, "probe {} {}", cases.seed, cases.cases.len());
+                for (.., hasher) in &mut groups {
+                    let _ = writeln!(hasher, "probe {index}");
+                }
+                "probe-case"
+            }
+        };
+        for case in &cases.cases {
+            rendered.clear();
+            let _ = writeln!(rendered, "{tag} {case:?}");
+            campaign.update(rendered.as_bytes());
+            for (method, _, hasher) in &mut groups {
+                if case.invokes(method) {
+                    hasher.update(rendered.as_bytes());
+                }
+            }
+        }
+    }
+    write_config(&mut campaign, config);
+    for mutant in mutants {
+        let _ = writeln!(campaign, "mutant {mutant}");
+    }
+    if let Some(lineage) = config.lineage {
+        let _ = writeln!(campaign, "lineage {lineage:08x}");
+    }
+    let features = groups
+        .into_iter()
+        .map(|(method, group, mut hasher)| {
+            write_config(&mut hasher, config);
             if let Some(lineage) = config.lineage {
-                let _ = writeln!(text, "lineage {lineage:08x}");
+                let _ = writeln!(hasher, "lineage {lineage:08x}");
             }
             for mutant in &group {
-                let _ = writeln!(text, "mutant [{}] {}", mutant.operator, mutant.plan);
+                let _ = writeln!(hasher, "mutant [{}] {}", mutant.operator, mutant.plan);
             }
             FeatureFingerprint {
                 method: method.to_owned(),
-                fingerprint: crc32(text.as_bytes()),
+                fingerprint: hasher.finish(),
                 mutant_ids: group.iter().map(|mutant| mutant.id).collect(),
             }
         })
-        .collect()
+        .collect();
+    (campaign.finish(), features)
 }
 
 /// The verdict-relevant configuration both fingerprints cover.
-fn write_config(text: &mut String, config: &MutationConfig) {
-    let _ = writeln!(text, "bit {}", config.bit_enabled);
+fn write_config(out: &mut impl fmt::Write, config: &MutationConfig) {
+    let _ = writeln!(out, "bit {}", config.bit_enabled);
     let threshold = config.crash_quarantine_threshold;
-    let _ = writeln!(text, "crash_threshold {threshold:?}");
-    let _ = writeln!(text, "budget {:?}", config.budget);
+    let _ = writeln!(out, "crash_threshold {threshold:?}");
+    let _ = writeln!(out, "budget {:?}", config.budget);
 }
 
 /// Encodes one feature record for the journal:
@@ -477,7 +502,8 @@ mod tests {
 
     use crate::fault::{FaultPlan, Replacement};
     use crate::operators::MutationOperator;
-    use concat_driver::{MethodCall, TestCase, TestSuite};
+    use concat_driver::{MethodCall, TestCase};
+    use concat_runtime::{Rng, Value};
 
     fn mutant(id: usize, method: &str, site: u32) -> Mutant {
         Mutant {
@@ -513,6 +539,163 @@ mod tests {
         };
         suite.stats.cases = suite.cases.len();
         suite
+    }
+
+    /// The two-render fingerprints this module computed before the
+    /// one-pass walk: each builds its whole text, then checksums it. Kept
+    /// as the reference every stored journal header and feature record
+    /// was written under.
+    fn campaign_fingerprint_oracle(
+        class_name: &str,
+        suite: &TestSuite,
+        mutants: &[Mutant],
+        config: &MutationConfig,
+    ) -> u32 {
+        let mut text = String::new();
+        let _ = writeln!(text, "class {class_name}");
+        let _ = writeln!(text, "suite {} {}", suite.seed, suite.cases.len());
+        for case in &suite.cases {
+            let _ = writeln!(text, "case {case:?}");
+        }
+        for probe in &config.probe_suites {
+            let _ = writeln!(text, "probe {} {}", probe.seed, probe.cases.len());
+            for case in &probe.cases {
+                let _ = writeln!(text, "probe-case {case:?}");
+            }
+        }
+        write_config(&mut text, config);
+        for mutant in mutants {
+            let _ = writeln!(text, "mutant {mutant}");
+        }
+        if let Some(lineage) = config.lineage {
+            let _ = writeln!(text, "lineage {lineage:08x}");
+        }
+        concat_runtime::crc32(text.as_bytes())
+    }
+
+    fn method_fingerprints_oracle(
+        class_name: &str,
+        suite: &TestSuite,
+        mutants: &[Mutant],
+        config: &MutationConfig,
+    ) -> Vec<FeatureFingerprint> {
+        let mut groups: Vec<(&str, Vec<&Mutant>)> = Vec::new();
+        for mutant in mutants {
+            match groups
+                .iter_mut()
+                .find(|(method, _)| *method == mutant.method())
+            {
+                Some((_, group)) => group.push(mutant),
+                None => groups.push((mutant.method(), vec![mutant])),
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(method, group)| {
+                let mut text = String::new();
+                let _ = writeln!(text, "class {class_name}");
+                let _ = writeln!(text, "method {method}");
+                for case in suite.cases.iter().filter(|c| c.invokes(method)) {
+                    let _ = writeln!(text, "case {case:?}");
+                }
+                for (index, probe) in config.probe_suites.iter().enumerate() {
+                    let _ = writeln!(text, "probe {index}");
+                    for case in probe.cases.iter().filter(|c| c.invokes(method)) {
+                        let _ = writeln!(text, "probe-case {case:?}");
+                    }
+                }
+                write_config(&mut text, config);
+                if let Some(lineage) = config.lineage {
+                    let _ = writeln!(text, "lineage {lineage:08x}");
+                }
+                for mutant in &group {
+                    let _ = writeln!(text, "mutant [{}] {}", mutant.operator, mutant.plan);
+                }
+                FeatureFingerprint {
+                    method: method.to_owned(),
+                    fingerprint: concat_runtime::crc32(text.as_bytes()),
+                    mutant_ids: group.iter().map(|mutant| mutant.id).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// A seeded random suite over `methods`; arguments mix every scalar
+    /// kind, strings with escapes, and nested lists.
+    fn random_suite(rng: &mut Rng, methods: &[&str]) -> TestSuite {
+        fn value(rng: &mut Rng, depth: usize) -> Value {
+            match rng.index(if depth < 2 { 6 } else { 5 }) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.coin()),
+                2 => Value::Int(rng.int_in(i64::MIN, i64::MAX)),
+                3 => Value::Float(rng.float_in(-1e6, 1e6)),
+                4 => Value::Str(["", "Mary", "a \"q\"\n", "ü"][rng.index(4)].to_owned()),
+                _ => Value::List((0..rng.index(3)).map(|_| value(rng, depth + 1)).collect()),
+            }
+        }
+        let cases = (0..rng.index(12))
+            .map(|id| {
+                let calls = (0..rng.index(5))
+                    .map(|c| {
+                        let args = (0..rng.index(3)).map(|_| value(rng, 0)).collect();
+                        MethodCall::generated(
+                            format!("m{c}"),
+                            methods[rng.index(methods.len())],
+                            args,
+                        )
+                    })
+                    .collect();
+                TestCase {
+                    id,
+                    transaction_index: rng.index(4),
+                    node_path: (0..rng.index(3)).map(|n| format!("n{n}")).collect(),
+                    constructor: MethodCall::generated("m0", "New", Vec::new()),
+                    calls,
+                }
+            })
+            .collect();
+        suite(cases)
+    }
+
+    #[test]
+    fn one_pass_fingerprints_equal_the_two_render_oracle_on_random_campaigns() {
+        let methods = ["Scale", "Bump", "Reset", "New"];
+        let mut rng = Rng::seed_from_u64(0xF19E12);
+        for round in 0..300 {
+            let base = random_suite(&mut rng, &methods);
+            let mut config = MutationConfig {
+                probe_suites: (0..rng.index(3))
+                    .map(|_| random_suite(&mut rng, &methods))
+                    .collect(),
+                bit_enabled: rng.coin(),
+                crash_quarantine_threshold: rng.coin().then(|| rng.index(4)),
+                incremental: rng.coin(),
+                lineage: rng.coin().then(|| rng.next_u64() as u32),
+                ..MutationConfig::default()
+            };
+            config.budget.max_calls = rng.coin().then(|| rng.index(1000));
+            // "Ghost" is mutated but invoked by no case.
+            let mutated = ["Scale", "Bump", "Ghost", "New"];
+            let mutants: Vec<Mutant> = (0..rng.index(8))
+                .map(|id| mutant(id, mutated[rng.index(mutated.len())], rng.index(3) as u32))
+                .collect();
+            let expected_fp = campaign_fingerprint_oracle("Acc", &base, &mutants, &config);
+            let expected_features = method_fingerprints_oracle("Acc", &base, &mutants, &config);
+            let (fp, features) =
+                fingerprint_campaign("Acc", &base, &mutants, &config, config.incremental);
+            assert_eq!(fp, expected_fp, "round {round}");
+            if config.incremental {
+                assert_eq!(features, expected_features, "round {round}");
+            } else {
+                assert!(features.is_empty(), "round {round}");
+            }
+            assert_eq!(campaign_fingerprint("Acc", &base, &mutants, &config), fp);
+            assert_eq!(
+                method_fingerprints("Acc", &base, &mutants, &config),
+                expected_features,
+                "round {round}"
+            );
+        }
     }
 
     #[test]

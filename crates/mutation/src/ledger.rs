@@ -16,7 +16,7 @@ use crate::analysis::{
     QuarantineReason,
 };
 use crate::enumerate::Mutant;
-use crate::journal::{campaign_fingerprint, method_fingerprints, CampaignJournal};
+use crate::journal::{fingerprint_campaign, CampaignJournal};
 use concat_driver::{SuiteResult, TestSuite};
 use concat_obs::Telemetry;
 use concat_runtime::{RetryPolicy, Rng};
@@ -158,6 +158,13 @@ impl CampaignLedger {
             ledger.replayed += 1;
         }
         ledger
+    }
+
+    /// The campaign fingerprint computed to open the journal; `None` when
+    /// no journal is configured, so a caller that needs it (process
+    /// shards) computes it only then.
+    pub(crate) fn fingerprint(&self) -> Option<u32> {
+        self.journal.fingerprint
     }
 
     /// Verdicts replayed from the journal when the ledger opened.
@@ -421,6 +428,9 @@ fn record_status(telemetry: &Telemetry, status: &MutantStatus) {
 /// authoritative, like the other retry-then-degrade consumers).
 struct JournalState {
     inner: Option<CampaignJournal>,
+    /// The campaign fingerprint of the journal header; computed only when
+    /// a journal is configured.
+    fingerprint: Option<u32>,
     telemetry: Telemetry,
 }
 
@@ -439,17 +449,17 @@ impl JournalState {
             return (
                 JournalState {
                     inner: None,
+                    fingerprint: None,
                     telemetry,
                 },
                 Vec::new(),
             );
         };
         let open_span = telemetry.span("journal", "open");
-        let fingerprint = campaign_fingerprint(class_name, suite, mutants, config);
-        let features = config
-            .incremental
-            .then(|| method_fingerprints(class_name, suite, mutants, config));
-        let resumed = CampaignJournal::open(path, fingerprint, features.as_deref(), mutants.len());
+        let (fingerprint, features) =
+            fingerprint_campaign(class_name, suite, mutants, config, config.incremental);
+        let features = config.incremental.then_some(features.as_slice());
+        let resumed = CampaignJournal::open(path, fingerprint, features, mutants.len());
         open_span.finish();
         let (inner, replayed) = match resumed {
             Ok(resume) => {
@@ -463,7 +473,12 @@ impl JournalState {
                 (None, Vec::new())
             }
         };
-        (JournalState { inner, telemetry }, replayed)
+        let state = JournalState {
+            inner,
+            fingerprint: Some(fingerprint),
+            telemetry,
+        };
+        (state, replayed)
     }
 
     /// Write-ahead append of one verdict, before it is merged into its
@@ -484,6 +499,7 @@ mod tests {
     use super::*;
     use crate::enumerate::enumerate_mutants;
     use crate::inventory::{ClassInventory, MethodInventory};
+    use crate::journal::campaign_fingerprint;
     use concat_driver::SuiteStats;
     use concat_obs::MemorySink;
     use std::sync::Arc;
@@ -526,6 +542,7 @@ mod tests {
         let mutants = mutants();
         let sink = Arc::new(MemorySink::new());
         let mut ledger = ledger(&mutants, 4, &sink);
+        assert_eq!(ledger.fingerprint(), None, "no journal, no fingerprint");
         let lease = ledger.take_lease(3);
         assert_eq!(lease, vec![0, 1, 2]);
         let ruling = ledger.lease_ended(0, &lease, &death(1, QuarantineReason::ShardAbort));
@@ -571,13 +588,10 @@ mod tests {
             sink.counter_total("mutant.quarantined.shard_unresponsive"),
             1
         );
+        let fingerprint = campaign_fingerprint("C", &suite, &mutants, &config);
+        assert_eq!(ledger.fingerprint(), Some(fingerprint));
         drop(ledger);
-        let (_, replayed) = CampaignJournal::resume(
-            &path,
-            campaign_fingerprint("C", &suite, &mutants, &config),
-            mutants.len(),
-        )
-        .unwrap();
+        let (_, replayed) = CampaignJournal::resume(&path, fingerprint, mutants.len()).unwrap();
         assert_eq!(replayed, vec![(1, convicted)], "journaled exactly once");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -243,7 +243,7 @@ impl fmt::Display for DegradeReason {
 pub enum CampaignPhase {
     /// Admitted, waiting for a slot to run its golden baseline.
     Queued,
-    /// A slot is computing the golden baseline.
+    /// A slot is computing the golden baseline and opening the ledger.
     Preparing,
     /// Leases are being scheduled.
     Running,
@@ -360,10 +360,26 @@ struct CampaignData {
 struct CampaignRuntime {
     data: Arc<CampaignData>,
     baseline: GoldenBaseline,
-    fingerprint: u32,
     /// Process leases' spec, under the campaign's [`SlotConfig`]
-    /// deadlines; `None` for thread leases.
-    spec: Option<ProcessIsolation>,
+    /// deadlines, and the campaign fingerprint their shards must
+    /// rebuild; `None` for thread leases.
+    spec: Option<(ProcessIsolation, u32)>,
+}
+
+/// What a slot takes out of the fleet to prepare a campaign unlocked.
+struct PrepareJob {
+    data: Arc<CampaignData>,
+    slot_cfg: SlotConfig,
+    /// The campaign's telemetry scoped at its root span: the ledger's.
+    telemetry: Telemetry,
+    /// Fleet size: the ledger's `w<slot>.done` readings.
+    slots: usize,
+}
+
+/// A prepared campaign: its runtime and its opened ledger.
+struct Prepared {
+    rt: CampaignRuntime,
+    ledger: CampaignLedger,
 }
 
 /// Fleet-side state of one campaign.
@@ -478,11 +494,11 @@ fn slot_loop(shared: &Shared, slot: usize) {
     let mut fleet = shared.lock();
     while !fleet.shutting_down {
         fleet.heartbeat();
-        if let Some(data) = fleet.take_prepare() {
+        if let Some(job) = fleet.take_prepare() {
             drop(fleet);
-            let (baseline, events) = prepare(&data);
+            let (prepared, events) = prepare(&job);
             fleet = shared.lock();
-            fleet.handle_prepared(data.id, baseline, &events);
+            fleet.handle_prepared(job.data.id, prepared, &events);
         } else if let Some((rt, lease)) = fleet.take_lease() {
             drop(fleet);
             let (outcome, events) = run_lease(shared, slot, &rt, &lease);
@@ -497,25 +513,66 @@ fn slot_loop(shared: &Shared, slot: usize) {
     }
 }
 
-/// Runs a campaign's golden baseline on a private harness; `None` when
-/// it panicked.
-fn prepare(data: &CampaignData) -> (Option<GoldenBaseline>, Vec<Event>) {
+/// Prepares a campaign off the fleet lock: runs its golden baseline on a
+/// private harness, then opens its ledger (journal open, replay or
+/// rewrite, and the fingerprints that needs) and, for process leases
+/// only, settles the campaign fingerprint their shards must rebuild.
+/// `None` when any of it panicked, or when the campaign was cancelled
+/// during its golden run: its journal is then left untouched, and
+/// [`Fleet::handle_prepared`] sees the cancellation first.
+fn prepare(job: &PrepareJob) -> (Option<Prepared>, Vec<Event>) {
+    let data = &job.data;
     let (sink, telemetry) = lease_telemetry(&data.config.telemetry);
-    let baseline = catch_unwind(AssertUnwindSafe(|| {
+    let prepared = catch_unwind(AssertUnwindSafe(|| {
         let switch = MutationSwitch::with_cancel_token(data.token.child());
         let factory = data.shards.build_factory(&switch);
         let runner = build_runner(&data.config, &telemetry, &switch);
-        crate::analysis::run_golden(
+        let baseline = crate::analysis::run_golden(
             &runner,
             factory.as_ref(),
             &data.suite,
             &data.mutants,
             &data.config,
             &telemetry,
-        )
+        );
+        if data.token.is_cancelled() {
+            return None;
+        }
+        let class_name = data.shards.class_name();
+        let ledger = CampaignLedger::open(
+            class_name,
+            &data.suite,
+            &data.mutants,
+            &data.config,
+            job.slots,
+            data.id.0,
+            &job.telemetry,
+        );
+        let spec = match &data.config.isolation {
+            IsolationMode::Process(spec) => {
+                let fingerprint = ledger.fingerprint().unwrap_or_else(|| {
+                    campaign_fingerprint(class_name, &data.suite, &data.mutants, &data.config)
+                });
+                let spec = ProcessIsolation {
+                    startup_grace: job.slot_cfg.startup_grace,
+                    heartbeat_timeout: job.slot_cfg.heartbeat_timeout,
+                    term_grace: job.slot_cfg.term_grace,
+                    ..spec.clone()
+                };
+                Some((spec, fingerprint))
+            }
+            IsolationMode::InThread => None,
+        };
+        let rt = CampaignRuntime {
+            data: data.clone(),
+            baseline,
+            spec,
+        };
+        Some(Prepared { rt, ledger })
     }))
-    .ok();
-    (baseline, sink.map(|s| s.events()).unwrap_or_default())
+    .ok()
+    .flatten();
+    (prepared, sink.map(|s| s.events()).unwrap_or_default())
 }
 
 /// Runs one thread or process lease. Each verdict is merged under the
@@ -540,9 +597,9 @@ fn run_lease(
     let scoped = telemetry.at(lease_span.id());
     let mut merge = |index, status| shared.lock().handle_verdict(slot, id, index, status);
     let outcome = match &rt.spec {
-        Some(spec) => process_lease(
+        Some((spec, fingerprint)) => process_lease(
             spec,
-            rt.fingerprint,
+            *fingerprint,
             lease,
             &rt.data.token,
             &scoped,
@@ -688,9 +745,9 @@ impl Fleet {
         }
     }
 
-    /// Claims the oldest queued campaign for its golden run: queued
+    /// Claims the oldest queued campaign for its preparation: queued
     /// campaigns prepare in submit order, before any lease.
-    fn take_prepare(&mut self) -> Option<Arc<CampaignData>> {
+    fn take_prepare(&mut self) -> Option<PrepareJob> {
         let campaign = self
             .campaigns
             .values_mut()
@@ -698,7 +755,12 @@ impl Fleet {
             .min_by_key(|c| c.data.id)?;
         campaign.phase = CampaignPhase::Preparing;
         campaign.active_leases += 1;
-        Some(campaign.data.clone())
+        Some(PrepareJob {
+            data: campaign.data.clone(),
+            slot_cfg: campaign.slot_cfg,
+            telemetry: campaign.telemetry.clone(),
+            slots: self.config.slots,
+        })
     }
 
     /// Work stealing with aged priorities: leases from the runnable
@@ -750,12 +812,9 @@ impl Fleet {
             .min()
     }
 
-    fn handle_prepared(
-        &mut self,
-        id: CampaignId,
-        baseline: Option<GoldenBaseline>,
-        events: &[Event],
-    ) {
+    /// Books a campaign's preparation. Everything costly (golden run,
+    /// journal I/O, fingerprints) already ran unlocked in [`prepare`].
+    fn handle_prepared(&mut self, id: CampaignId, prepared: Option<Prepared>, events: &[Event]) {
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return;
         };
@@ -766,51 +825,19 @@ impl Fleet {
             self.settle(id);
             return;
         }
-        let Some(baseline) = baseline else {
-            // The golden run panicked: the subject's harness is broken
+        let Some(Prepared { rt, ledger }) = prepared else {
+            // The preparation panicked: the subject's harness is broken
             // and every lease would fail the same way.
             campaign.telemetry.incr("mutation.worker_crash");
             campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
             self.finalize(id);
             return;
         };
-        let data = campaign.data.clone();
-        let scoped = campaign.telemetry.clone();
-        let ledger = CampaignLedger::open(
-            data.shards.class_name(),
-            &data.suite,
-            &data.mutants,
-            &data.config,
-            self.config.slots,
-            id.0,
-            &scoped,
-        );
         if ledger.replayed() > 0 {
             self.config.telemetry.incr("orchestrator.resumed");
         }
         campaign.ledger = Some(ledger);
-        let fingerprint = campaign_fingerprint(
-            data.shards.class_name(),
-            &data.suite,
-            &data.mutants,
-            &data.config,
-        );
-        // Process leases run under this campaign's own slot deadlines.
-        let spec = match &data.config.isolation {
-            IsolationMode::Process(spec) => Some(ProcessIsolation {
-                startup_grace: campaign.slot_cfg.startup_grace,
-                heartbeat_timeout: campaign.slot_cfg.heartbeat_timeout,
-                term_grace: campaign.slot_cfg.term_grace,
-                ..spec.clone()
-            }),
-            IsolationMode::InThread => None,
-        };
-        campaign.rt = Some(Arc::new(CampaignRuntime {
-            data,
-            baseline,
-            fingerprint,
-            spec,
-        }));
+        campaign.rt = Some(Arc::new(rt));
         campaign.phase = CampaignPhase::Running;
         campaign
             .telemetry

@@ -24,6 +24,7 @@ use concat_obs::{MemorySink, Telemetry};
 use concat_runtime::{
     args, unknown_method, AssertionViolation, Component, InvokeResult, TestException, Value,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -155,6 +156,27 @@ impl ClonableFactory for ChaosShards {
             millis: self.millis,
             switch: switch.clone(),
         })
+    }
+}
+
+/// Chaos shards whose first factory (the preparing slot's golden
+/// harness) is built only after two rendezvous on `gate`: the first tells
+/// the test the campaign is preparing, the second releases it.
+struct GatedShards {
+    gate: Arc<Barrier>,
+    armed: AtomicBool,
+}
+
+impl ClonableFactory for GatedShards {
+    fn class_name(&self) -> &str {
+        "Chaos"
+    }
+    fn build_factory(&self, switch: &MutationSwitch) -> Box<dyn ComponentFactory> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.gate.wait();
+            self.gate.wait();
+        }
+        ChaosShards { millis: 1 }.build_factory(switch)
     }
 }
 
@@ -400,6 +422,84 @@ fn cancelled_campaign_resumes_in_service_to_the_solo_run() {
 }
 
 #[test]
+fn campaign_cancelled_while_preparing_keeps_its_journal_for_a_full_replay() {
+    let dir = std::env::temp_dir().join("concat-orchestrator-cancel-preparing");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("prepare.journal");
+    // A finished plain journal: a solo run writes every verdict. The
+    // fleet runs the campaign incrementally, so opening its ledger would
+    // rewrite the journal with feature records.
+    let solo = run_mutation_analysis_parallel(
+        &ChaosShards { millis: 1 },
+        &chaos_suite(0),
+        &chaos_mutants(),
+        &MutationConfig {
+            workers: 2,
+            journal_path: Some(journal.clone()),
+            ..chaos_config()
+        },
+    );
+    let written = std::fs::read(&journal).expect("journal written");
+    let orch = Orchestrator::start(OrchestratorConfig {
+        slots: 1,
+        ..OrchestratorConfig::default()
+    });
+
+    // Cancel while the only slot is inside the campaign's preparation.
+    let gate = Arc::new(Barrier::new(2));
+    let mut gated = chaos_request("gated", 0, 1);
+    gated.shards = Arc::new(GatedShards {
+        gate: gate.clone(),
+        armed: AtomicBool::new(true),
+    });
+    gated.config.journal_path = Some(journal.clone());
+    gated.config.incremental = true;
+    let id = orch.submit(gated).expect("admitted");
+    gate.wait();
+    assert_eq!(
+        orch.status(id).expect("status").phase,
+        CampaignPhase::Preparing
+    );
+    assert!(orch.cancel(id), "cancel lands on a preparing campaign");
+    assert_eq!(
+        orch.status(id).expect("status").phase,
+        CampaignPhase::Draining
+    );
+    gate.wait();
+    let outcome = orch.wait(id).expect("campaign tracked");
+    assert!(
+        matches!(outcome.end, CampaignEnd::Cancelled),
+        "{:?}",
+        outcome.end
+    );
+    let status = orch.status(id).expect("status retained");
+    assert_eq!(
+        (status.done, status.replayed),
+        (0, 0),
+        "no ledger was opened"
+    );
+    assert_eq!(
+        std::fs::read(&journal).expect("journal kept"),
+        written,
+        "a campaign cancelled while preparing leaves its journal untouched"
+    );
+
+    // The resubmitted campaign replays every verdict and executes none.
+    let mut resumed = chaos_request("gated", 0, 1);
+    resumed.config.journal_path = Some(journal);
+    resumed.config.incremental = true;
+    let resumed_id = orch.submit(resumed).expect("resubmit admitted");
+    let run = completed(orch.wait(resumed_id).expect("campaign tracked").end);
+    assert_eq!(run.results, solo.results);
+    let status = orch.status(resumed_id).expect("status retained");
+    assert_eq!(status.replayed, status.total as u64, "replayed in full");
+    assert_eq!(status.executed, 0);
+    drop(orch);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn budget_exhaustion_degrades_only_its_own_campaign() {
     let sink = Arc::new(MemorySink::new());
     let orch = Orchestrator::start(OrchestratorConfig {
@@ -602,6 +702,7 @@ fn dropping_the_service_mid_campaign_joins_every_slot_and_resumes_to_the_solo_ru
     });
     let mut resumed = chaos_request("dropped", 0, 3);
     resumed.config.journal_path = Some(journal);
+    resumed.config.incremental = true;
     let resumed_id = fresh.submit(resumed).expect("resubmit admitted");
     let run = completed(fresh.wait(resumed_id).expect("campaign tracked").end);
     assert_eq!(

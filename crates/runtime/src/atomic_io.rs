@@ -25,16 +25,20 @@
 //! ```
 
 use crate::record::hex8;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven. Built at
-/// compile time so the checksum needs no dependency and no runtime init.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) lookup tables for
+/// slicing-by-8, built at compile time so the checksum needs no
+/// dependency and no runtime init. `CRC32_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC32_TABLES[k][b]` is `CRC32_TABLES[0][b]`
+/// advanced through `k` further zero bytes, so one step folds 8 input
+/// bytes with 8 independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -47,11 +51,90 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// A streaming CRC-32 (IEEE): feeding a byte string in any split gives
+/// the same checksum as [`crc32`] over the whole. It implements
+/// [`fmt::Write`], so `write!` can hash formatted text without building
+/// the string.
+///
+/// # Examples
+///
+/// ```
+/// use concat_runtime::{crc32, Crc32};
+/// use std::fmt::Write as _;
+///
+/// let mut hasher = Crc32::new();
+/// hasher.update(b"1234");
+/// write!(hasher, "{}", 56789).unwrap();
+/// assert_eq!(hasher.finish(), crc32(b"123456789"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Crc32 {
+    /// A hasher that has seen no bytes.
+    pub const fn new() -> Crc32 {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Feeds `bytes`, 8 at a time, then the tail byte by byte.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+        let mut c = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+            c = t7[(lo & 0xFF) as usize]
+                ^ t6[((lo >> 8) & 0xFF) as usize]
+                ^ t5[((lo >> 16) & 0xFF) as usize]
+                ^ t4[(lo >> 24) as usize]
+                ^ t3[(hi & 0xFF) as usize]
+                ^ t2[((hi >> 8) & 0xFF) as usize]
+                ^ t1[((hi >> 16) & 0xFF) as usize]
+                ^ t0[(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t0[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The checksum of every byte fed so far.
+    pub const fn finish(&self) -> u32 {
+        self.state ^ 0xFFFF_FFFF
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
+    }
+}
+
+impl fmt::Write for Crc32 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// The CRC-32 (IEEE) checksum of `bytes`.
 ///
@@ -62,11 +145,9 @@ const CRC32_TABLE: [u32; 256] = {
 /// assert_eq!(concat_runtime::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut hasher = Crc32::new();
+    hasher.update(bytes);
+    hasher.finish()
 }
 
 /// Process-unique suffix counter for temp names, so concurrent atomic
@@ -432,14 +513,47 @@ mod tests {
         dir
     }
 
+    /// The byte-at-a-time loop over the classic table: the reference
+    /// the sliced, streaming hasher must agree with.
+    fn crc32_oracle(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
+        for crc in [crc32, crc32_oracle] {
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(
+                crc(b"The quick brown fox jumps over the lazy dog"),
+                0x414F_A339
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_crc32_matches_the_byte_oracle_under_random_chunking() {
+        let mut rng = crate::Rng::seed_from_u64(0xC4C32);
+        for _ in 0..500 {
+            let len = rng.index(300);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.index(256) as u8).collect();
+            let mut hasher = Crc32::new();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.index(rest.len() + 1));
+                hasher.update(chunk);
+                rest = tail;
+            }
+            assert_eq!(hasher.finish(), crc32_oracle(&bytes), "{bytes:?}");
+            assert_eq!(crc32(&bytes), crc32_oracle(&bytes));
+        }
+        let mut formatted = Crc32::default();
+        write!(formatted, "case {:?} {}", [1, 2], 3.5).unwrap();
+        assert_eq!(formatted.finish(), crc32_oracle(b"case [1, 2] 3.5"));
     }
 
     #[test]

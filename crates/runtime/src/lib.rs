@@ -59,7 +59,7 @@ mod supervise;
 mod value;
 
 pub use atomic_io::{
-    crc32, open_headered, recover_journal, scan_journal, write_atomic, AtomicFile, Headered,
+    crc32, open_headered, recover_journal, scan_journal, write_atomic, AtomicFile, Crc32, Headered,
     Journal, JournalScan,
 };
 pub use clock::monotonic_nanos;

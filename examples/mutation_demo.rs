@@ -47,7 +47,9 @@
 //! shutdown
 //! ```
 //!
-//! `<subject>` is `delay` or `sortable`. Each campaign journals to
+//! `<subject>` is `delay` or `sortable`. A `submit` whose flags do not
+//! parse is refused with `err bad <flag> <value>` and submits nothing.
+//! Each campaign journals to
 //! `<dir>/<name>.journal` and, on completion, writes `<dir>/<name>.report`
 //! — byte-identical to the solo `campaign` / `verdicts` mode report for
 //! the same subject, regardless of fleet size, neighbors, or crash
@@ -694,20 +696,28 @@ fn parse_server_flags(rest: &[String]) -> (usize, bool, bool) {
     (fleet.max(1), process, resume)
 }
 
-/// Parses `submit`'s optional `--priority N` and `--budget N` flags;
-/// unknown tokens are ignored.
-fn parse_submit_flags(rest: &[&str]) -> (u8, Option<u64>) {
+/// Parses `submit`'s optional `--priority N` and `--budget N` flags.
+/// A value that does not parse, a flag without a value and an unknown
+/// token are each an error naming the offending flag and value (`bad
+/// --budget x`, `bad --priority <missing>`, `bad flag --frob`): a typo
+/// must not silently submit a campaign with another priority or no
+/// budget.
+fn parse_submit_flags(rest: &[&str]) -> Result<(u8, Option<u64>), String> {
+    fn value<T: std::str::FromStr>(flag: &str, value: Option<&&str>) -> Result<T, String> {
+        let value = value.ok_or_else(|| format!("bad {flag} <missing>"))?;
+        value.parse().map_err(|_| format!("bad {flag} {value}"))
+    }
     let mut priority = 0u8;
     let mut budget = None;
     let mut args = rest.iter();
-    while let Some(flag) = args.next() {
-        match *flag {
-            "--priority" => priority = args.next().and_then(|n| n.parse().ok()).unwrap_or(0),
-            "--budget" => budget = args.next().and_then(|n| n.parse().ok()),
-            _ => {}
+    while let Some(&flag) = args.next() {
+        match flag {
+            "--priority" => priority = value(flag, args.next())?,
+            "--budget" => budget = Some(value(flag, args.next())?),
+            other => return Err(format!("bad flag {other}")),
         }
     }
-    (priority, budget)
+    Ok((priority, budget))
 }
 
 /// One protocol response line, flushed immediately — the server's stdout
@@ -893,7 +903,13 @@ fn campaign_server_mode(dir: &str, flags: &[String]) {
         match tok.first().copied() {
             None => {}
             Some("submit") if tok.len() >= 3 => {
-                let (priority, budget) = parse_submit_flags(&tok[3..]);
+                let (priority, budget) = match parse_submit_flags(&tok[3..]) {
+                    Ok(flags) => flags,
+                    Err(err) => {
+                        respond(&format!("err {err}"));
+                        continue;
+                    }
+                };
                 let entry = ManifestEntry {
                     name: tok[1].to_owned(),
                     subject: tok[2].to_owned(),
@@ -1233,4 +1249,57 @@ fn parallel_section() {
         speedup >= 2.0,
         "expected >= 2x from overlapping deadline waits, measured {speedup:.2}x"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_submit_flags;
+
+    #[test]
+    fn submit_flags_parse_good_input() {
+        assert_eq!(parse_submit_flags(&[]), Ok((0, None)));
+        assert_eq!(
+            parse_submit_flags(&["--priority", "2", "--budget", "40"]),
+            Ok((2, Some(40)))
+        );
+        assert_eq!(parse_submit_flags(&["--budget", "0"]), Ok((0, Some(0))));
+    }
+
+    #[test]
+    fn submit_flags_reject_a_bad_value() {
+        for (rest, err) in [
+            (&["--priority", "x"][..], "bad --priority x"),
+            (&["--priority", "256"][..], "bad --priority 256"),
+            (
+                &["--priority", "1", "--budget", "-3"][..],
+                "bad --budget -3",
+            ),
+        ] {
+            assert_eq!(parse_submit_flags(rest), Err(err.to_owned()));
+        }
+    }
+
+    #[test]
+    fn submit_flags_reject_a_missing_value() {
+        assert_eq!(
+            parse_submit_flags(&["--budget"]),
+            Err("bad --budget <missing>".to_owned())
+        );
+        assert_eq!(
+            parse_submit_flags(&["--budget", "5", "--priority"]),
+            Err("bad --priority <missing>".to_owned())
+        );
+    }
+
+    #[test]
+    fn submit_flags_reject_an_unknown_flag() {
+        assert_eq!(
+            parse_submit_flags(&["--prio", "2"]),
+            Err("bad flag --prio".to_owned())
+        );
+        assert_eq!(
+            parse_submit_flags(&["--priority", "2", "extra"]),
+            Err("bad flag extra".to_owned())
+        );
+    }
 }
