@@ -30,6 +30,15 @@ pub trait BuiltInTest {
 
     /// Captures the object's internal state for the log and the oracle.
     fn reporter(&self) -> StateReport;
+
+    /// Reads one observable of [`BuiltInTest::reporter`] by name: always
+    /// what `reporter().get(name).cloned()` returns, `None` for a name the
+    /// report lacks. Invariant clauses read only the fields they name, so
+    /// a component may override this to read one field without building
+    /// the whole report.
+    fn observe(&self, name: &str) -> Option<Value> {
+        self.reporter().get(name).cloned()
+    }
 }
 
 /// A component under test with built-in test capabilities.
@@ -176,6 +185,15 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(err.tag(), "UNKNOWN_METHOD");
+    }
+
+    #[test]
+    fn observe_defaults_to_the_report_field() {
+        let g = GaugeFactory
+            .construct("Gauge", &[Value::Int(4)], BitControl::new_enabled())
+            .unwrap();
+        assert_eq!(g.observe("level"), Some(Value::Int(4)));
+        assert_eq!(g.observe("nope"), None);
     }
 
     #[test]

@@ -79,6 +79,10 @@ impl CObList {
     /// Class name used in specs and dispatch.
     pub const CLASS: &'static str = "CObList";
 
+    /// The fields [`BuiltInTest::reporter`] reports, each read through
+    /// [`BuiltInTest::observe`].
+    const OBSERVABLES: [&'static str; 2] = ["m_nCount", "elements"];
+
     /// Creates an empty list wired to the given BIT control and mutation
     /// switch, with the default block size of 10 (MFC's default).
     pub fn new(ctl: BitControl, switch: MutationSwitch) -> Self {
@@ -583,16 +587,24 @@ impl BuiltInTest for CObList {
 
     fn reporter(&self) -> StateReport {
         let mut r = StateReport::new();
-        r.set("m_nCount", Value::Int(self.count));
-        match self.values() {
-            Some(values) => {
-                r.set("elements", Value::List(values));
-            }
-            None => {
-                r.set("elements", Value::Str("<corrupt chain>".into()));
+        for name in Self::OBSERVABLES {
+            if let Some(value) = self.observe(name) {
+                r.set(name, value);
             }
         }
         r
+    }
+
+    /// Reads the one named field: `m_nCount` without walking the chain.
+    fn observe(&self, name: &str) -> Option<Value> {
+        match name {
+            "m_nCount" => Some(Value::Int(self.count)),
+            "elements" => Some(match self.values() {
+                Some(values) => Value::List(values),
+                None => Value::Str("<corrupt chain>".into()),
+            }),
+            _ => None,
+        }
     }
 }
 

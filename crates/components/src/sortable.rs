@@ -587,6 +587,10 @@ impl BuiltInTest for CSortableObList {
         // suites compare transcripts across the hierarchy.
         self.base.reporter()
     }
+
+    fn observe(&self, name: &str) -> Option<Value> {
+        self.base.observe(name)
+    }
 }
 
 /// Factory for [`CSortableObList`] instances sharing one

@@ -117,6 +117,10 @@ impl BuiltInTest for CTypedObList {
     fn reporter(&self) -> StateReport {
         self.base.reporter()
     }
+
+    fn observe(&self, name: &str) -> Option<Value> {
+        self.base.observe(name)
+    }
 }
 
 /// Factory for [`CTypedObList`] instances.

@@ -24,7 +24,7 @@ use crate::persist::{keyed_lines, parse_call, perr, write_call, PersistError};
 use crate::runner::{guarded, Guarded};
 use crate::testcase::{ArgOrigin, MethodCall, TestCase};
 use concat_bit::{BitControl, ComponentFactory};
-use concat_runtime::{crc32, CancelToken, Rng, Value};
+use concat_runtime::{crc32, CancelToken, Rng, TestException, Value};
 use concat_tfm::{NodeKind, WalkPolicy};
 use concat_tspec::{ClassSpec, MethodCategory, MethodSpec};
 use std::fmt;
@@ -152,13 +152,7 @@ impl WalkSequence {
                 StepKind::Construct => '+',
                 StepKind::Invoke => '.',
             };
-            let _ = writeln!(
-                out,
-                "s{i} o{} {mark} {} {}",
-                s.object,
-                s.node,
-                s.call.render()
-            );
+            let _ = writeln!(out, "s{i} o{} {mark} {} {}", s.object, s.node, s.call);
         }
         out
     }
@@ -240,8 +234,8 @@ pub fn generate_walk(spec: &ClassSpec, config: &WalkConfig, walk_seed: u64) -> W
             match next {
                 Some(node_id) => {
                     let node = spec.tfm.node(node_id);
-                    let method_id = node.methods[rng.index(node.methods.len())].clone();
-                    let Some(m) = spec.method(&method_id) else {
+                    let method_id = &node.methods[rng.index(node.methods.len())];
+                    let Some(m) = spec.method(method_id) else {
                         // Spec validation rejects dangling ids; skip
                         // defensively rather than panic mid-fuzz.
                         continue;
@@ -274,8 +268,8 @@ pub fn generate_walk(spec: &ClassSpec, config: &WalkConfig, walk_seed: u64) -> W
                 walkers[object].restart(&spec.tfm, &mut pick)
             };
             let node = spec.tfm.node(birth);
-            let method_id = node.methods[rng.index(node.methods.len())].clone();
-            let Some(m) = spec.method(&method_id) else {
+            let method_id = &node.methods[rng.index(node.methods.len())];
+            let Some(m) = spec.method(method_id) else {
                 continue;
             };
             let call = draw_call(&mut inputs, m);
@@ -375,15 +369,28 @@ pub struct WalkOutcome {
     pub interrupted: bool,
 }
 
+/// How a walk step's construct or invoke ended, before it is rendered.
+enum Stepped {
+    /// A constructor returned.
+    Built,
+    /// The slot held no live object.
+    Skipped,
+    /// A method returned this value.
+    Returned(Value),
+    /// The component raised an exception.
+    Raised(TestException),
+}
+
 /// Executes `seq` against `factory`: construct/invoke per step, then the
 /// BIT class invariant of every live object (slot order) and every t-spec
-/// invariant clause against the reporter snapshot.
+/// invariant clause against the fields it names
+/// ([`concat_bit::BuiltInTest::observe`]).
 ///
 /// Component *exceptions* are tolerated and recorded — a random walk
 /// legitimately calls `RemoveHead` on an empty list. Panics, invariant
 /// violations and false clauses are failures and stop the walk. A fired
 /// `cancel` token (or a watchdog's deadline unwind) marks the outcome
-/// interrupted instead.
+/// interrupted instead; a step a deadline unwinds leaves no line.
 pub fn execute_sequence(
     factory: &dyn ComponentFactory,
     spec: &ClassSpec,
@@ -394,7 +401,7 @@ pub fn execute_sequence(
     let slots_needed = seq.steps.iter().map(|s| s.object + 1).max().unwrap_or(0);
     let mut slots: Vec<Option<Box<dyn concat_bit::TestableComponent>>> = Vec::new();
     slots.resize_with(slots_needed, || None);
-    let mut lines: Vec<String> = Vec::with_capacity(seq.steps.len());
+    let mut transcript = String::new();
     let mut checks = 0u64;
     let mut executed_steps = 0usize;
     let mut failure: Option<WalkFailure> = None;
@@ -405,37 +412,42 @@ pub fn execute_sequence(
             interrupted = true;
             break;
         }
-        let head = format!("s{i} o{} {}", step.object, step.call.render());
         let (method, args) = (&step.call.method, &step.call.args);
         let stepped = match (step.kind, &mut slots[step.object]) {
             (StepKind::Construct, slot) => {
                 guarded(|| match factory.construct(method, args, ctl.clone()) {
                     Ok(c) => {
                         *slot = Some(c);
-                        "ok".to_owned()
+                        Stepped::Built
                     }
                     Err(exc) => {
                         *slot = None;
-                        format!("raised [{}] {exc}", exc.tag())
+                        Stepped::Raised(exc)
                     }
                 })
             }
             (StepKind::Invoke, Some(component)) => {
                 guarded(|| match component.invoke(method, args) {
-                    Ok(v) => v.to_literal(),
-                    Err(exc) => format!("raised [{}] {exc}", exc.tag()),
+                    Ok(v) => Stepped::Returned(v),
+                    Err(exc) => Stepped::Raised(exc),
                 })
             }
-            (StepKind::Invoke, None) => Guarded::Done("skipped".to_owned()),
+            (StepKind::Invoke, None) => Guarded::Done(Stepped::Skipped),
         };
-        match stepped {
-            Guarded::Done(text) => lines.push(format!("{head} -> {text}")),
+        let head = format_args!("s{i} o{} {} -> ", step.object, step.call);
+        let _ = match stepped {
+            Guarded::Done(Stepped::Built) => writeln!(transcript, "{head}ok"),
+            Guarded::Done(Stepped::Skipped) => writeln!(transcript, "{head}skipped"),
+            Guarded::Done(Stepped::Returned(v)) => writeln!(transcript, "{head}{v}"),
+            Guarded::Done(Stepped::Raised(exc)) => {
+                writeln!(transcript, "{head}raised [{}] {exc}", exc.tag())
+            }
             Guarded::Deadline => {
                 interrupted = true;
                 break;
             }
             Guarded::Panicked(message) => {
-                lines.push(format!("{head} -> panicked: {message}"));
+                let _ = writeln!(transcript, "{head}panicked: {message}");
                 failure = Some(WalkFailure {
                     step: i,
                     object: step.object,
@@ -444,7 +456,7 @@ pub fn execute_sequence(
                 executed_steps = i + 1;
                 break;
             }
-        }
+        };
         if step.kind == StepKind::Invoke
             && spec
                 .method(&step.call.method_id)
@@ -460,7 +472,7 @@ pub fn execute_sequence(
             checks += 1;
             if let Err(v) = component.invariant_test() {
                 let message = v.to_string();
-                lines.push(format!("s{i} o{oi} ! invariant: {message}"));
+                let _ = writeln!(transcript, "s{i} o{oi} ! invariant: {message}");
                 failure = Some(WalkFailure {
                     step: i,
                     object: oi,
@@ -468,28 +480,21 @@ pub fn execute_sequence(
                 });
                 break 'steps;
             }
-            if !spec.invariants.is_empty() {
-                let report = component.reporter();
-                for inv in &spec.invariants {
-                    checks += 1;
-                    if inv.eval(&|name| report.get(name).cloned()) == Some(false) {
-                        lines.push(format!("s{i} o{oi} ! clause {}: {}", inv.id, inv.render()));
-                        failure = Some(WalkFailure {
-                            step: i,
-                            object: oi,
-                            kind: FailureKind::SpecClause { id: inv.id.clone() },
-                        });
-                        break 'steps;
-                    }
+            for inv in &spec.invariants {
+                checks += 1;
+                if inv.eval(&|name| component.observe(name)) == Some(false) {
+                    let _ = writeln!(transcript, "s{i} o{oi} ! clause {inv}");
+                    failure = Some(WalkFailure {
+                        step: i,
+                        object: oi,
+                        kind: FailureKind::SpecClause { id: inv.id.clone() },
+                    });
+                    break 'steps;
                 }
             }
         }
     }
 
-    let mut transcript = lines.join("\n");
-    if !transcript.is_empty() {
-        transcript.push('\n');
-    }
     WalkOutcome {
         transcript,
         checks,
@@ -975,6 +980,354 @@ mod tests {
             Some(FailureKind::SpecClause { id: "i1".into() })
         );
         assert!(out.transcript.contains("! clause i1"));
+    }
+
+    /// The line-building body `execute_sequence` had before it wrote
+    /// straight into one transcript buffer: the oracle of the streaming
+    /// form.
+    fn execute_sequence_oracle(
+        factory: &dyn ComponentFactory,
+        spec: &ClassSpec,
+        seq: &WalkSequence,
+        ctl: &BitControl,
+        cancel: Option<&CancelToken>,
+    ) -> WalkOutcome {
+        let slots_needed = seq.steps.iter().map(|s| s.object + 1).max().unwrap_or(0);
+        let mut slots: Vec<Option<Box<dyn TestableComponent>>> = Vec::new();
+        slots.resize_with(slots_needed, || None);
+        let mut lines: Vec<String> = Vec::with_capacity(seq.steps.len());
+        let mut checks = 0u64;
+        let mut executed_steps = 0usize;
+        let mut failure: Option<WalkFailure> = None;
+        let mut interrupted = false;
+
+        'steps: for (i, step) in seq.steps.iter().enumerate() {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                interrupted = true;
+                break;
+            }
+            let head = format!("s{i} o{} {}", step.object, step.call.render());
+            let (method, args) = (&step.call.method, &step.call.args);
+            let stepped = match (step.kind, &mut slots[step.object]) {
+                (StepKind::Construct, slot) => {
+                    guarded(|| match factory.construct(method, args, ctl.clone()) {
+                        Ok(c) => {
+                            *slot = Some(c);
+                            "ok".to_owned()
+                        }
+                        Err(exc) => {
+                            *slot = None;
+                            format!("raised [{}] {exc}", exc.tag())
+                        }
+                    })
+                }
+                (StepKind::Invoke, Some(component)) => {
+                    guarded(|| match component.invoke(method, args) {
+                        Ok(v) => v.to_literal(),
+                        Err(exc) => format!("raised [{}] {exc}", exc.tag()),
+                    })
+                }
+                (StepKind::Invoke, None) => Guarded::Done("skipped".to_owned()),
+            };
+            match stepped {
+                Guarded::Done(text) => lines.push(format!("{head} -> {text}")),
+                Guarded::Deadline => {
+                    interrupted = true;
+                    break;
+                }
+                Guarded::Panicked(message) => {
+                    lines.push(format!("{head} -> panicked: {message}"));
+                    failure = Some(WalkFailure {
+                        step: i,
+                        object: step.object,
+                        kind: FailureKind::Panic { message },
+                    });
+                    executed_steps = i + 1;
+                    break;
+                }
+            }
+            if step.kind == StepKind::Invoke
+                && spec
+                    .method(&step.call.method_id)
+                    .is_some_and(|m| m.category == MethodCategory::Destructor)
+            {
+                slots[step.object] = None;
+            }
+            executed_steps = i + 1;
+            for (oi, slot) in slots.iter().enumerate() {
+                let Some(component) = slot else { continue };
+                checks += 1;
+                if let Err(v) = component.invariant_test() {
+                    let message = v.to_string();
+                    lines.push(format!("s{i} o{oi} ! invariant: {message}"));
+                    failure = Some(WalkFailure {
+                        step: i,
+                        object: oi,
+                        kind: FailureKind::Invariant { message },
+                    });
+                    break 'steps;
+                }
+                if !spec.invariants.is_empty() {
+                    let report = component.reporter();
+                    for inv in &spec.invariants {
+                        checks += 1;
+                        if inv.eval(&|name| report.get(name).cloned()) == Some(false) {
+                            lines.push(format!("s{i} o{oi} ! clause {}: {}", inv.id, inv.render()));
+                            failure = Some(WalkFailure {
+                                step: i,
+                                object: oi,
+                                kind: FailureKind::SpecClause { id: inv.id.clone() },
+                            });
+                            break 'steps;
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut transcript = lines.join("\n");
+        if !transcript.is_empty() {
+            transcript.push('\n');
+        }
+        WalkOutcome {
+            transcript,
+            checks,
+            executed_steps,
+            failure,
+            interrupted,
+        }
+    }
+
+    /// What a [`Trapped`] counter does on `Total` once its count reached 5.
+    #[derive(Clone)]
+    enum Trap {
+        /// Panics: a component failure.
+        Panic,
+        /// Unwinds with the deadline payload, as a watchdog checkpoint does.
+        Deadline,
+        /// Cancels the walk's token and returns normally.
+        Cancel(CancelToken),
+    }
+
+    /// A [`Counter`] that springs its trap on `Total` once `n >= 5`.
+    struct Trapped {
+        inner: Counter,
+        trap: Trap,
+    }
+
+    impl Component for Trapped {
+        fn class_name(&self) -> &'static str {
+            self.inner.class_name()
+        }
+        fn method_names(&self) -> Vec<&'static str> {
+            self.inner.method_names()
+        }
+        fn invoke(&mut self, m: &str, a: &[Value]) -> InvokeResult {
+            if m == "Total" && self.inner.n >= 5 {
+                match &self.trap {
+                    Trap::Panic => panic!("trapped at {}", self.inner.n),
+                    Trap::Deadline => std::panic::panic_any(concat_runtime::DEADLINE_PANIC_PAYLOAD),
+                    Trap::Cancel(token) => token.cancel(),
+                }
+            }
+            self.inner.invoke(m, a)
+        }
+    }
+
+    impl BuiltInTest for Trapped {
+        fn bit_control(&self) -> &BitControl {
+            self.inner.bit_control()
+        }
+        fn invariant_test(&self) -> Result<(), AssertionViolation> {
+            self.inner.invariant_test()
+        }
+        fn reporter(&self) -> StateReport {
+            self.inner.reporter()
+        }
+    }
+
+    struct TrapFactory(Trap);
+    impl ComponentFactory for TrapFactory {
+        fn class_name(&self) -> &str {
+            "Counter"
+        }
+        fn construct(
+            &self,
+            constructor: &str,
+            _args: &[Value],
+            ctl: BitControl,
+        ) -> Result<Box<dyn TestableComponent>, TestException> {
+            match constructor {
+                "Counter" => Ok(Box::new(Trapped {
+                    inner: Counter { n: 0, ctl },
+                    trap: self.0.clone(),
+                })),
+                other => Err(unknown_method("Counter", other)),
+            }
+        }
+    }
+
+    /// Runs `seq` through both bodies, each with a fresh token and the
+    /// factory `factory` builds around it, and returns the one outcome.
+    fn assert_matches_oracle(
+        factory: &dyn Fn(&CancelToken) -> Box<dyn ComponentFactory>,
+        spec: &ClassSpec,
+        seq: &WalkSequence,
+    ) -> WalkOutcome {
+        let ctl = BitControl::new_enabled();
+        let token = CancelToken::new();
+        let got = execute_sequence(&*factory(&token), spec, seq, &ctl, Some(&token));
+        let token = CancelToken::new();
+        let expected = execute_sequence_oracle(&*factory(&token), spec, seq, &ctl, Some(&token));
+        assert_eq!(got, expected, "{}", seq.render());
+        got
+    }
+
+    #[test]
+    fn streaming_execution_equals_the_line_building_oracle() {
+        let spec = counter_spec();
+        let plain = |_: &CancelToken| -> Box<dyn ComponentFactory> { Box::new(CounterFactory) };
+        let mut seen = [0usize; 3];
+        for seed in 0..300u64 {
+            let config = WalkConfig::new(seed)
+                .with_walks(1)
+                .with_calls_per_walk(1 + (seed as usize * 7) % 90)
+                .with_objects(1 + seed as usize % 3);
+            let seq = generate_walk(&spec, &config, config.walk_seed(0));
+            let out = assert_matches_oracle(&plain, &spec, &seq);
+            seen[usize::from(out.failure.is_some())] += 1;
+            if seed % 10 == 0 {
+                let cancel = |token: &CancelToken| -> Box<dyn ComponentFactory> {
+                    Box::new(TrapFactory(Trap::Cancel(token.clone())))
+                };
+                let out = assert_matches_oracle(&cancel, &spec, &seq);
+                seen[2] += usize::from(out.interrupted && out.executed_steps > 0);
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "passing, failing, cancelled: {seen:?}"
+        );
+
+        // Generated walks never skip or raise: an invoke on an empty
+        // slot, a constructor and a method the component rejects.
+        let step = |object, kind, id: &str, name: &str| WalkStep {
+            object,
+            kind,
+            node: "n1".into(),
+            call: MethodCall::generated(id, name, vec![]),
+        };
+        let rejected = WalkSequence {
+            class_name: "Counter".into(),
+            seed: 0,
+            steps: vec![
+                step(1, StepKind::Invoke, "m4", "Total"),
+                step(1, StepKind::Construct, "m1", "Nope"),
+                step(0, StepKind::Construct, "m1", "Counter"),
+                step(0, StepKind::Invoke, "m9", "Bogus"),
+                step(1, StepKind::Invoke, "m4", "Total"),
+            ],
+        };
+        let out = assert_matches_oracle(&plain, &spec, &rejected);
+        assert_eq!(out.transcript.matches("skipped").count(), 2);
+        assert_eq!(out.transcript.matches("raised [UNKNOWN_METHOD]").count(), 2);
+
+        // A spec clause (n <= 99) fails while the BIT invariant holds.
+        let mut steps = vec![WalkStep {
+            object: 0,
+            kind: StepKind::Construct,
+            node: "n1".into(),
+            call: MethodCall::generated("m1", "Counter", vec![]),
+        }];
+        steps.extend((0..12).map(|_| WalkStep {
+            object: 0,
+            kind: StepKind::Invoke,
+            node: "n2".into(),
+            call: MethodCall::generated("m2", "Add", vec![Value::Int(9)]),
+        }));
+        let clause = WalkSequence {
+            class_name: "Counter".into(),
+            seed: 0,
+            steps,
+        };
+        let out = assert_matches_oracle(&plain, &spec, &clause);
+        assert!(matches!(
+            out.failure.map(|f| f.kind),
+            Some(FailureKind::SpecClause { .. })
+        ));
+    }
+
+    /// Add 9 then `Total`, twice: the second `Total` springs the trap.
+    fn trap_walk() -> WalkSequence {
+        let step = |kind, node: &str, id: &str, name: &str, args| WalkStep {
+            object: 0,
+            kind,
+            node: node.into(),
+            call: MethodCall::generated(id, name, args),
+        };
+        let mut steps = vec![step(StepKind::Construct, "n1", "m1", "Counter", vec![])];
+        for _ in 0..2 {
+            steps.push(step(
+                StepKind::Invoke,
+                "n2",
+                "m2",
+                "Add",
+                vec![Value::Int(3)],
+            ));
+            steps.push(step(StepKind::Invoke, "n3", "m4", "Total", vec![]));
+        }
+        steps.push(step(
+            StepKind::Invoke,
+            "n2",
+            "m2",
+            "Add",
+            vec![Value::Int(1)],
+        ));
+        WalkSequence {
+            class_name: "Counter".into(),
+            seed: 0,
+            steps,
+        }
+    }
+
+    #[test]
+    fn panics_and_deadlines_render_like_the_oracle() {
+        let spec = counter_spec();
+        let seq = trap_walk();
+        let panics =
+            |_: &CancelToken| -> Box<dyn ComponentFactory> { Box::new(TrapFactory(Trap::Panic)) };
+        let out = assert_matches_oracle(&panics, &spec, &seq);
+        assert_eq!(out.executed_steps, 5);
+        assert!(out
+            .transcript
+            .ends_with("s4 o0 Total() -> panicked: trapped at 6\n"));
+        assert!(matches!(
+            out.failure.map(|f| f.kind),
+            Some(FailureKind::Panic { .. })
+        ));
+
+        // A deadline unwind mid-walk interrupts without a partial line:
+        // the transcript holds exactly the steps before it.
+        let deadline = |_: &CancelToken| -> Box<dyn ComponentFactory> {
+            Box::new(TrapFactory(Trap::Deadline))
+        };
+        let out = assert_matches_oracle(&deadline, &spec, &seq);
+        assert!(out.interrupted && out.failure.is_none());
+        assert_eq!(out.executed_steps, 4);
+        assert_eq!(
+            out.transcript,
+            "s0 o0 Counter() -> ok\ns1 o0 Add(3) -> NULL\ns2 o0 Total() -> 3\n\
+             s3 o0 Add(3) -> NULL\n"
+        );
+
+        // A token fired during a step stops the walk before the next.
+        let cancel = |token: &CancelToken| -> Box<dyn ComponentFactory> {
+            Box::new(TrapFactory(Trap::Cancel(token.clone())))
+        };
+        let out = assert_matches_oracle(&cancel, &spec, &seq);
+        assert!(out.interrupted);
+        assert_eq!(out.executed_steps, 5);
+        assert!(out.transcript.ends_with("s4 o0 Total() -> 6\n"));
     }
 
     #[test]

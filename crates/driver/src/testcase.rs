@@ -71,16 +71,24 @@ impl MethodCall {
     }
 
     /// Renders the call the way Figure 6 documents it:
-    /// `UpdateQty(321, "Mary")`.
+    /// `UpdateQty(321, "Mary")`. The [`fmt::Display`] form, collected.
     pub fn render(&self) -> String {
-        let args: Vec<String> = self.args.iter().map(Value::to_literal).collect();
-        format!("{}({})", self.method, args.join(", "))
+        self.to_string()
     }
 }
 
+/// Writes the [`MethodCall::render`] form straight to the formatter,
+/// argument by argument.
 impl fmt::Display for MethodCall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        write!(f, "{}(", self.method)?;
+        for (i, arg) in self.args.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "{arg}")?;
+        }
+        f.write_str(")")
     }
 }
 
@@ -222,6 +230,42 @@ impl<'a> IntoIterator for &'a TestSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concat_runtime::{ObjRef, Rng};
+
+    /// The allocating renderer `render` was before `Display` wrote
+    /// straight to the formatter: the byte oracle of the streaming form.
+    fn render_oracle(call: &MethodCall) -> String {
+        let args: Vec<String> = call.args.iter().map(Value::to_literal).collect();
+        format!("{}({})", call.method, args.join(", "))
+    }
+
+    fn random_arg(rng: &mut Rng, depth: usize) -> Value {
+        const TEXT: [&str; 6] = ["", "Mary", "q\"uote", "back\\slash", "new\nline", "ünï ☃"];
+        const FLOATS: [f64; 6] = [-0.0, 2.0, 0.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        match rng.index(if depth == 0 { 6 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Int(rng.next_u64() as i64),
+            2 => Value::Float(FLOATS[rng.index(FLOATS.len())]),
+            3 => Value::Str(TEXT[rng.index(TEXT.len())].to_owned()),
+            4 => Value::Obj(ObjRef::new("Provider", TEXT[rng.index(TEXT.len())])),
+            5 => Value::Bool(rng.coin()),
+            _ => (0..rng.index(4))
+                .map(|_| random_arg(rng, depth - 1))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn streaming_call_display_equals_the_allocating_oracle() {
+        let mut rng = Rng::seed_from_u64(0xCA11);
+        for case in 0..1000 {
+            let args: Vec<Value> = (0..rng.index(5)).map(|_| random_arg(&mut rng, 4)).collect();
+            let call = MethodCall::generated("m1", "UpdateQty", args);
+            let expected = render_oracle(&call);
+            assert_eq!(call.render(), expected, "case {case}: {call:?}");
+            assert_eq!(call.to_string(), expected, "case {case}: {call:?}");
+        }
+    }
 
     fn case(id: usize) -> TestCase {
         TestCase {

@@ -19,12 +19,10 @@
 //! discarded with the rest of the round's misses.
 
 use crate::analysis::{
-    run_mutation_analysis, run_mutation_analysis_parallel, MutantStatus, MutationConfig,
-    MutationRun,
+    run_fingerprinted, run_parallel_fingerprinted, MutantStatus, MutationConfig, MutationRun,
 };
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
-use crate::journal::campaign_fingerprint;
 use concat_bit::ComponentFactory;
 use concat_driver::{GenerateError, TestSuite};
 use concat_obs::Telemetry;
@@ -127,8 +125,7 @@ pub fn amplify_suite(
     synth: CandidateSource<'_>,
 ) -> Result<AmplifyOutcome, GenerateError> {
     amplify_with(
-        factory.class_name(),
-        &|suite, mutants, config| run_mutation_analysis(factory, switch, suite, mutants, config),
+        &|suite, mutants, config| run_fingerprinted(factory, switch, suite, mutants, config),
         suite,
         mutants,
         config,
@@ -154,8 +151,7 @@ pub fn amplify_suite_parallel(
     synth: CandidateSource<'_>,
 ) -> Result<AmplifyOutcome, GenerateError> {
     amplify_with(
-        shards.class_name(),
-        &|suite, mutants, config| run_mutation_analysis_parallel(shards, suite, mutants, config),
+        &|suite, mutants, config| run_parallel_fingerprinted(shards, suite, mutants, config),
         suite,
         mutants,
         config,
@@ -261,11 +257,15 @@ fn strict_score(run: &MutationRun) -> f64 {
     }
 }
 
+/// An analysis entry point bound to its harness: the run, and the
+/// campaign fingerprint its journal was opened with (`None` without one).
+type Analysis<'a> =
+    &'a dyn Fn(&TestSuite, &[Mutant], &MutationConfig) -> (MutationRun, Option<u32>);
+
 /// The loop behind both entry points. `run_analysis` is the caller's
-/// analysis entry point bound to its harness; `class_name` is its class.
+/// analysis entry point bound to its harness.
 fn amplify_with(
-    class_name: &str,
-    run_analysis: &dyn Fn(&TestSuite, &[Mutant], &MutationConfig) -> MutationRun,
+    run_analysis: Analysis<'_>,
     suite: &TestSuite,
     mutants: &[Mutant],
     config: &MutationConfig,
@@ -274,14 +274,10 @@ fn amplify_with(
 ) -> Result<AmplifyOutcome, GenerateError> {
     let telemetry = config.telemetry.clone();
     let started = Instant::now();
-    // The parent campaign's fingerprint, folded into each round journal's
-    // fingerprint as lineage. Only needed when rounds are journaled.
-    let lineage = config
-        .journal_path
-        .is_some()
-        .then(|| campaign_fingerprint(class_name, suite, mutants, config));
     // Round 0: the plain campaign over the base suite (main journal).
-    let mut run = run_analysis(suite, mutants, config);
+    // Its fingerprint, computed to open that journal, is folded into each
+    // round journal's fingerprint as lineage; `None` when unjournaled.
+    let (mut run, lineage) = run_analysis(suite, mutants, config);
     let baseline_score = run.score();
     let mut amplified = suite.clone();
     let mut rounds = Vec::new();
@@ -341,7 +337,7 @@ fn amplify_with(
             .iter()
             .map(|&index| run.results[index].mutant.clone())
             .collect();
-        let mini = run_analysis(
+        let (mini, _) = run_analysis(
             &candidates,
             &alive_mutants,
             &round_config(config, round, lineage, &telemetry.at(round_span.id())),

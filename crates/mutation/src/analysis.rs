@@ -840,6 +840,18 @@ pub fn run_mutation_analysis(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> MutationRun {
+    run_fingerprinted(factory, switch, suite, mutants, config).0
+}
+
+/// [`run_mutation_analysis`], plus the campaign fingerprint its ledger
+/// computed to open the journal (`None` without a journal).
+pub(crate) fn run_fingerprinted(
+    factory: &dyn ComponentFactory,
+    switch: &MutationSwitch,
+    suite: &TestSuite,
+    mutants: &[Mutant],
+    config: &MutationConfig,
+) -> (MutationRun, Option<u32>) {
     let _hook_guard = config.silence_panics.then(PanicSilencer::install);
     let run_span = config.telemetry.span("mutation", factory.class_name());
     // Everything inside the campaign emits through the scoped handle, so
@@ -867,7 +879,10 @@ pub fn run_mutation_analysis(
     };
     engine.run_inline(&harness, &mut ledger);
     ledger.heartbeat();
-    ledger.finish(mutants, baseline.golden)
+    (
+        ledger.finish(mutants, baseline.golden),
+        ledger.fingerprint(),
+    )
 }
 
 /// Runs a full mutation analysis across `config.workers` sharded workers.
@@ -908,6 +923,17 @@ pub fn run_mutation_analysis_parallel(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> MutationRun {
+    run_parallel_fingerprinted(shards, suite, mutants, config).0
+}
+
+/// [`run_mutation_analysis_parallel`], plus the campaign fingerprint its
+/// ledger computed to open the journal (`None` without a journal).
+pub(crate) fn run_parallel_fingerprinted(
+    shards: &dyn ClonableFactory,
+    suite: &TestSuite,
+    mutants: &[Mutant],
+    config: &MutationConfig,
+) -> (MutationRun, Option<u32>) {
     let _hook_guard = config.silence_panics.then(PanicSilencer::install);
     let run_span = config.telemetry.span("mutation", shards.class_name());
     let scoped = config.telemetry.at(run_span.id());
@@ -1038,7 +1064,10 @@ pub fn run_mutation_analysis_parallel(
         telemetry.absorb_under(&sink.events(), run_span.id());
     }
     merge_span.finish();
-    ledger.finish(mutants, baseline.golden)
+    (
+        ledger.finish(mutants, baseline.golden),
+        ledger.fingerprint(),
+    )
 }
 
 /// One solo worker's loop: lease from the shared ledger, run the lease,

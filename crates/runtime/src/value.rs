@@ -243,31 +243,35 @@ impl Value {
 
     /// Renders the value the way generated drivers print arguments
     /// (Figure 6 of the paper): strings quoted, objects as `&Class:key`.
+    /// The [`fmt::Display`] form, collected.
     pub fn to_literal(&self) -> String {
-        match self {
-            Value::Null => "NULL".to_owned(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() {
-                    format!("{x:.1}")
-                } else {
-                    x.to_string()
-                }
-            }
-            Value::Str(s) => format!("\"{}\"", s.escape_default()),
-            Value::List(items) => {
-                let inner: Vec<String> = items.iter().map(Value::to_literal).collect();
-                format!("[{}]", inner.join(", "))
-            }
-            Value::Obj(r) => r.to_string(),
-        }
+        self.to_string()
     }
 }
 
+/// Writes the [`Value::to_literal`] form straight to the formatter, lists
+/// element by element. Width and precision flags are ignored.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_literal())
+        match self {
+            Value::Null => f.write_str("NULL"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) if x.fract() == 0.0 && x.is_finite() => write!(f, "{x:.1}"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Str(s) => write!(f, "\"{}\"", s.escape_default()),
+            Value::List(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            Value::Obj(r) => write!(f, "{r}"),
+        }
     }
 }
 
@@ -432,6 +436,89 @@ mod tests {
             Value::List(vec![Value::Int(1), Value::Str("a".into())]).to_literal(),
             "[1, \"a\"]"
         );
+    }
+
+    /// The allocating renderer `to_literal` was before `Display` wrote
+    /// straight to the formatter: the byte oracle of the streaming form.
+    fn literal_oracle(v: &Value) -> String {
+        match v {
+            Value::Null => "NULL".to_owned(),
+            Value::Bool(b) => b.to_string(),
+            Value::Int(i) => i.to_string(),
+            Value::Float(x) => {
+                if x.fract() == 0.0 && x.is_finite() {
+                    format!("{x:.1}")
+                } else {
+                    x.to_string()
+                }
+            }
+            Value::Str(s) => format!("\"{}\"", s.escape_default()),
+            Value::List(items) => {
+                let inner: Vec<String> = items.iter().map(literal_oracle).collect();
+                format!("[{}]", inner.join(", "))
+            }
+            Value::Obj(r) => r.to_string(),
+        }
+    }
+
+    /// A seeded random value: lists (three draws in ten while `depth`
+    /// allows) nest up to `depth` more levels.
+    fn random_value(rng: &mut crate::Rng, depth: usize) -> Value {
+        const FLOATS: [f64; 9] = [
+            0.0,
+            -0.0,
+            3.0,
+            -1e16,
+            0.1,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        const TEXT: [&str; 8] = [
+            "",
+            "Mary",
+            "a\"b",
+            "back\\slash",
+            "two\nlines",
+            "tab\t",
+            "naïve ☃",
+            "\u{7f}\0",
+        ];
+        match rng.index(if depth == 0 { 7 } else { 10 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.coin()),
+            2 => Value::Int(rng.next_u64() as i64),
+            3 => Value::Float(FLOATS[rng.index(FLOATS.len())]),
+            4 => Value::Float(rng.float_in(-1e3, 1e3)),
+            5 => {
+                let s: String = (0..rng.index(3))
+                    .map(|_| TEXT[rng.index(TEXT.len())])
+                    .collect();
+                Value::Str(s)
+            }
+            6 => Value::Obj(ObjRef::new(
+                TEXT[rng.index(TEXT.len())],
+                TEXT[rng.index(TEXT.len())],
+            )),
+            _ => Value::List(
+                (0..rng.index(4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn streaming_display_equals_the_allocating_oracle_on_random_values() {
+        let mut rng = crate::Rng::seed_from_u64(0x5EED_1175);
+        for case in 0..2000 {
+            let v = random_value(&mut rng, 4);
+            let expected = literal_oracle(&v);
+            assert_eq!(v.to_string(), expected, "case {case}: {v:?}");
+            assert_eq!(v.to_literal(), expected, "case {case}: {v:?}");
+            assert_eq!(format!("{v:>200}"), expected, "flags are ignored");
+        }
     }
 
     #[test]

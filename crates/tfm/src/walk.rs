@@ -14,7 +14,7 @@
 //! RNG while this crate stays dependency-free and the walk stays
 //! byte-reproducible.
 
-use crate::graph::{NodeId, Tfm};
+use crate::graph::{NodeId, NodeKind, Tfm};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Edge-selection policy of a TFM walk.
@@ -99,6 +99,9 @@ pub struct EdgeWalker {
     /// be taken ([`nearest_unvisited`]). Only a first visit of an edge
     /// moves it, so it is recomputed only then, while `fresh` is false.
     nearest: Vec<usize>,
+    /// The breadth-first queue of that recomputation, kept for its
+    /// capacity.
+    queue: VecDeque<NodeId>,
     fresh: bool,
 }
 
@@ -111,6 +114,7 @@ impl EdgeWalker {
             visits: Vec::new(),
             steps: 0,
             nearest: Vec::new(),
+            queue: VecDeque::new(),
             fresh: false,
         }
     }
@@ -140,9 +144,16 @@ impl EdgeWalker {
     /// Panics when the model has no birth node (a validation error every
     /// caller should have rejected via [`Tfm::validate`]).
     pub fn restart(&mut self, tfm: &Tfm, pick: &mut dyn FnMut(usize) -> usize) -> NodeId {
-        let births = tfm.birth_nodes();
-        assert!(!births.is_empty(), "walked model must have a birth node");
-        let chosen = births[bounded(pick, births.len())];
+        let births = || {
+            tfm.nodes()
+                .filter(|(_, node)| node.kind == NodeKind::Birth)
+                .map(|(id, _)| id)
+        };
+        let count = births().count();
+        assert!(count > 0, "walked model must have a birth node");
+        let chosen = births()
+            .nth(bounded(pick, count))
+            .expect("bounded() stays below the birth count");
         self.position = Some(chosen);
         chosen
     }
@@ -176,7 +187,7 @@ impl EdgeWalker {
                 // exponential number of restarts on caterpillar-shaped
                 // graphs, so the coverage bound needs the global pull.
                 if !self.fresh || self.nearest.len() != tfm.node_count() {
-                    self.nearest = nearest_unvisited(tfm, &self.visits);
+                    nearest_unvisited(tfm, &self.visits, &mut self.nearest, &mut self.queue);
                     self.fresh = true;
                 }
                 let dist = |i: usize| match self.visits[i] {
@@ -190,12 +201,14 @@ impl EdgeWalker {
                     .map(|&i| self.visits[i])
                     .min()
                     .unwrap_or(0);
-                let ties: Vec<usize> = outgoing
-                    .iter()
-                    .copied()
-                    .filter(|&i| dist(i) == near && self.visits[i] == min)
-                    .collect();
-                ties[bounded(pick, ties.len())]
+                let ties = || {
+                    outgoing
+                        .iter()
+                        .copied()
+                        .filter(|&i| dist(i) == near && self.visits[i] == min)
+                };
+                let k = bounded(pick, ties().count());
+                ties().nth(k).expect("bounded() stays below the tie count")
             }
         };
         self.visits[edge_index] += 1;
@@ -233,11 +246,18 @@ fn bounded(pick: &mut dyn FnMut(usize) -> usize, n: usize) -> usize {
 /// multi-source breadth-first search backwards along the edges, from
 /// the sources of the unvisited edges. A visited edge `e` is then
 /// `nearest[e.to] + 1` edges from an unvisited one (saturating), and an
-/// unvisited edge 0.
-fn nearest_unvisited(tfm: &Tfm, visits: &[u64]) -> Vec<usize> {
+/// unvisited edge 0. Refills `nearest`; `queue` is scratch space,
+/// empty on return.
+fn nearest_unvisited(
+    tfm: &Tfm,
+    visits: &[u64],
+    nearest: &mut Vec<usize>,
+    queue: &mut VecDeque<NodeId>,
+) {
     let edges = tfm.edges();
-    let mut nearest = vec![usize::MAX; tfm.node_count()];
-    let mut queue = VecDeque::new();
+    nearest.clear();
+    nearest.resize(tfm.node_count(), usize::MAX);
+    queue.clear();
     for (i, e) in edges.iter().enumerate() {
         if visits.get(i).copied().unwrap_or(0) == 0 && nearest[e.from.index()] != 0 {
             nearest[e.from.index()] = 0;
@@ -254,7 +274,6 @@ fn nearest_unvisited(tfm: &Tfm, visits: &[u64]) -> Vec<usize> {
             }
         }
     }
-    nearest
 }
 
 /// Indices (into [`Tfm::edges`]) of every edge reachable from a birth
@@ -447,7 +466,8 @@ mod tests {
             let visits: Vec<u64> = (0..tfm.edge_count())
                 .map(|_| [0, 0, 1, 3][next(4)])
                 .collect();
-            let nearest = nearest_unvisited(&tfm, &visits);
+            let mut nearest = Vec::new();
+            nearest_unvisited(&tfm, &visits, &mut nearest, &mut VecDeque::new());
             let bfs: Vec<usize> = tfm
                 .edges()
                 .iter()
