@@ -24,7 +24,7 @@ use concat_obs::{MemorySink, Telemetry};
 use concat_runtime::{
     args, unknown_method, AssertionViolation, Component, InvokeResult, TestException, Value,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -177,6 +177,36 @@ impl ClonableFactory for GatedShards {
             self.gate.wait();
         }
         ChaosShards { millis: 1 }.build_factory(switch)
+    }
+}
+
+/// Chaos shards that build `builds` factories and panic on every later
+/// build: `0` breaks the golden harness, `1` every lease harness.
+struct BrokenShards {
+    builds: AtomicUsize,
+}
+
+impl BrokenShards {
+    fn new(builds: usize) -> BrokenShards {
+        BrokenShards {
+            builds: AtomicUsize::new(builds),
+        }
+    }
+}
+
+impl ClonableFactory for BrokenShards {
+    fn class_name(&self) -> &str {
+        "Chaos"
+    }
+    fn build_factory(&self, switch: &MutationSwitch) -> Box<dyn ComponentFactory> {
+        let spent = self
+            .builds
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                left.checked_sub(1)
+            })
+            .is_err();
+        assert!(!spent, "the harness cannot be built");
+        ChaosShards { millis: 0 }.build_factory(switch)
     }
 }
 
@@ -779,4 +809,72 @@ fn concurrent_waiters_all_receive_the_same_completed_run() {
             "the clients started after the campaign ended"
         );
     });
+}
+
+/// Unwraps a degraded outcome into its reason and partial run.
+fn degraded(end: CampaignEnd) -> (DegradeReason, MutationRun) {
+    match end {
+        CampaignEnd::Degraded { reason, partial } => (reason, *partial),
+        other => panic!("campaign did not degrade: {other:?}"),
+    }
+}
+
+/// True when every mutant of `run` carries the fail-safe quarantine.
+fn all_worker_crashes(run: &MutationRun) -> bool {
+    run.results.iter().all(|result| {
+        result.status
+            == MutantStatus::Quarantined {
+                reason: QuarantineReason::WorkerCrash,
+            }
+    })
+}
+
+#[test]
+fn campaign_whose_harness_never_builds_degrades_beside_a_healthy_neighbor() {
+    let orch = Orchestrator::start(OrchestratorConfig {
+        slots: 2,
+        lease_size: 2,
+        ..OrchestratorConfig::default()
+    });
+    let mut broken = chaos_request("broken", 0, 0);
+    broken.shards = Arc::new(BrokenShards::new(0));
+    let broken_id = orch.submit(broken).expect("admitted");
+    let healthy_id = orch
+        .submit(chaos_request("healthy", 1, 0))
+        .expect("admitted");
+
+    let (reason, partial) = degraded(orch.wait(broken_id).expect("campaign tracked").end);
+    assert_eq!(reason, DegradeReason::HarnessFailure);
+    assert_eq!(partial.total(), chaos_mutants().len());
+    assert!(
+        all_worker_crashes(&partial),
+        "a campaign without a golden baseline quarantines every mutant"
+    );
+    let healthy = completed(orch.wait(healthy_id).expect("campaign tracked").end);
+    assert_eq!(healthy, solo_run(1, 0), "the neighbor ends as its solo run");
+}
+
+#[test]
+fn campaign_whose_lease_harness_never_builds_degrades_after_three_futile_leases() {
+    let fleet_sink = Arc::new(MemorySink::new());
+    let campaign_sink = Arc::new(MemorySink::new());
+    let orch = Orchestrator::start(OrchestratorConfig {
+        slots: 1,
+        lease_size: 2,
+        telemetry: Telemetry::new(fleet_sink.clone()),
+        ..OrchestratorConfig::default()
+    });
+    // The golden harness builds; every lease harness panics.
+    let mut request = chaos_request("builds-once", 0, 0);
+    request.shards = Arc::new(BrokenShards::new(1));
+    request.config.telemetry = Telemetry::new(campaign_sink.clone());
+    let id = orch.submit(request).expect("admitted");
+
+    let (reason, partial) = degraded(orch.wait(id).expect("campaign tracked").end);
+    assert_eq!(reason, DegradeReason::HarnessFailure);
+    assert_eq!(partial.total(), chaos_mutants().len());
+    assert!(all_worker_crashes(&partial), "no lease merged a verdict");
+    drop(orch);
+    assert_eq!(fleet_sink.counter_total("orchestrator.leases"), 3);
+    assert_eq!(campaign_sink.counter_total("mutation.worker_crash"), 3);
 }
