@@ -46,16 +46,15 @@
 //! prefix a resume replays.
 
 use crate::analysis::{
-    build_harness, build_runner, Engine, GoldenBaseline, Harness, IsolationMode, MutantResult,
-    MutantStatus, MutationConfig, MutationRun, PanicSilencer, ProcessIsolation, QuarantineReason,
+    prepare_campaign, private_telemetry, Engine, GoldenBaseline, IsolationMode, MutantResult,
+    MutantStatus, MutationConfig, MutationRun, OwnedHarness, PanicSilencer, ProcessIsolation,
+    QuarantineReason,
 };
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
-use crate::journal::campaign_fingerprint;
 use crate::ledger::{CampaignLedger, LeaseOutcome, Ruling};
-use crate::shard::process_lease;
 use concat_driver::{SuiteResult, TestSuite};
-use concat_obs::{Event, MemorySink, Span, Telemetry};
+use concat_obs::{Event, Span, Telemetry};
 use concat_runtime::CancelToken;
 use std::collections::HashMap;
 use std::fmt;
@@ -349,6 +348,8 @@ struct CampaignData {
     shards: Arc<dyn ClonableFactory>,
     suite: TestSuite,
     mutants: Vec<Mutant>,
+    /// The submitted config, its process isolation (if any) carrying the
+    /// campaign's effective [`SlotConfig`] deadlines.
     config: MutationConfig,
     /// Child of the service token: cancelling the service cancels every
     /// campaign; cancelling this campaign never touches the fleet.
@@ -360,26 +361,18 @@ struct CampaignData {
 struct CampaignRuntime {
     data: Arc<CampaignData>,
     baseline: GoldenBaseline,
-    /// Process leases' spec, under the campaign's [`SlotConfig`]
-    /// deadlines, and the campaign fingerprint their shards must
-    /// rebuild; `None` for thread leases.
-    spec: Option<(ProcessIsolation, u32)>,
+    /// Process leases' spec and the campaign fingerprint their shards
+    /// must rebuild; `None` for thread leases.
+    process: Option<(ProcessIsolation, u32)>,
 }
 
 /// What a slot takes out of the fleet to prepare a campaign unlocked.
 struct PrepareJob {
     data: Arc<CampaignData>,
-    slot_cfg: SlotConfig,
     /// The campaign's telemetry scoped at its root span: the ledger's.
     telemetry: Telemetry,
     /// Fleet size: the ledger's `w<slot>.done` readings.
     slots: usize,
-}
-
-/// A prepared campaign: its runtime and its opened ledger.
-struct Prepared {
-    rt: CampaignRuntime,
-    ledger: CampaignLedger,
 }
 
 /// Fleet-side state of one campaign.
@@ -513,81 +506,58 @@ fn slot_loop(shared: &Shared, slot: usize) {
     }
 }
 
-/// Prepares a campaign off the fleet lock: runs its golden baseline on a
-/// private harness, then opens its ledger (journal open, replay or
-/// rewrite, and the fingerprints that needs) and, for process leases
-/// only, settles the campaign fingerprint their shards must rebuild.
-/// `None` when any of it panicked, or when the campaign was cancelled
-/// during its golden run: its journal is then left untouched, and
-/// [`Fleet::handle_prepared`] sees the cancellation first.
-fn prepare(job: &PrepareJob) -> (Option<Prepared>, Vec<Event>) {
+/// Prepares a campaign off the fleet lock: [`prepare_campaign`] on a
+/// private golden harness whose switch token is a child of the campaign
+/// token. `None` when any of it panicked, or when the campaign was
+/// cancelled during its golden run: its journal is then left untouched,
+/// and [`Fleet::handle_prepared`] sees the cancellation first.
+fn prepare(job: &PrepareJob) -> (Option<(CampaignRuntime, CampaignLedger)>, Vec<Event>) {
     let data = &job.data;
-    let (sink, telemetry) = lease_telemetry(&data.config.telemetry);
+    let (sink, telemetry) = private_telemetry(&data.config.telemetry);
     let prepared = catch_unwind(AssertUnwindSafe(|| {
         let switch = MutationSwitch::with_cancel_token(data.token.child());
-        let factory = data.shards.build_factory(&switch);
-        let runner = build_runner(&data.config, &telemetry, &switch);
-        let baseline = crate::analysis::run_golden(
-            &runner,
-            factory.as_ref(),
+        let mut golden = OwnedHarness::new(data.shards.as_ref(), switch);
+        let (baseline, ledger, process) = prepare_campaign(
+            &golden.harness(&data.config, &telemetry),
+            data.shards.class_name(),
             &data.suite,
             &data.mutants,
             &data.config,
-            &telemetry,
-        );
-        if data.token.is_cancelled() {
-            return None;
-        }
-        let class_name = data.shards.class_name();
-        let ledger = CampaignLedger::open(
-            class_name,
-            &data.suite,
-            &data.mutants,
-            &data.config,
+            &data.config.isolation,
             job.slots,
             data.id.0,
             &job.telemetry,
         );
-        let spec = match &data.config.isolation {
-            IsolationMode::Process(spec) => {
-                let fingerprint = ledger.fingerprint().unwrap_or_else(|| {
-                    campaign_fingerprint(class_name, &data.suite, &data.mutants, &data.config)
-                });
-                let spec = ProcessIsolation {
-                    startup_grace: job.slot_cfg.startup_grace,
-                    heartbeat_timeout: job.slot_cfg.heartbeat_timeout,
-                    term_grace: job.slot_cfg.term_grace,
-                    ..spec.clone()
-                };
-                Some((spec, fingerprint))
-            }
-            IsolationMode::InThread => None,
-        };
         let rt = CampaignRuntime {
             data: data.clone(),
             baseline,
-            spec,
+            process,
         };
-        Some(Prepared { rt, ledger })
+        (rt, ledger)
     }))
-    .ok()
-    .flatten();
+    .ok();
     (prepared, sink.map(|s| s.events()).unwrap_or_default())
 }
 
 /// Runs one thread or process lease. Each verdict is merged under the
 /// fleet lock as it lands, like a solo slot's merge into its shared
-/// ledger.
+/// ledger. A thread lease runs on a fresh harness whose switch token,
+/// which the runner adopts, is a child of the campaign token, so
+/// campaign or service cancellation interrupts the in-flight case like
+/// a watchdog deadline — and the lease loop discards a verdict finished
+/// *after* the cancellation, because a case interrupted mid-flight
+/// classifies differently than a solo run would.
 fn run_lease(
     shared: &Shared,
     slot: usize,
     rt: &CampaignRuntime,
     lease: &[usize],
 ) -> (LeaseOutcome, Vec<Event>) {
-    let (sink, telemetry) = lease_telemetry(&rt.data.config.telemetry);
-    let id = rt.data.id;
+    let data = &rt.data;
+    let (sink, telemetry) = private_telemetry(&data.config.telemetry);
+    let id = data.id;
     let lease_span = telemetry.span_with("lease", || {
-        let mode = if rt.spec.is_some() {
+        let mode = if rt.process.is_some() {
             "process"
         } else {
             "thread"
@@ -595,62 +565,18 @@ fn run_lease(
         format!("{id} {mode}")
     });
     let scoped = telemetry.at(lease_span.id());
-    let mut merge = |index, status| shared.lock().handle_verdict(slot, id, index, status);
-    let outcome = match &rt.spec {
-        Some((spec, fingerprint)) => process_lease(
-            spec,
-            *fingerprint,
-            lease,
-            &rt.data.token,
-            &scoped,
-            &mut merge,
-        ),
-        None => thread_lease(rt, lease, &scoped, &mut merge),
-    };
+    let engine = Engine::new(&data.suite, &data.mutants, &data.config, &rt.baseline);
+    let switch = MutationSwitch::with_cancel_token(data.token.child());
+    let outcome = OwnedHarness::new(data.shards.as_ref(), switch).lease(
+        &engine,
+        rt.process.as_ref(),
+        lease,
+        &data.token,
+        &scoped,
+        &mut |index, status| shared.lock().handle_verdict(slot, id, index, status),
+    );
     lease_span.finish();
     (outcome, sink.map(|s| s.events()).unwrap_or_default())
-}
-
-/// A private event buffer for one lease, absorbed under the campaign
-/// root after the lease ends — disabled campaigns pay nothing.
-fn lease_telemetry(campaign: &Telemetry) -> (Option<Arc<MemorySink>>, Telemetry) {
-    if campaign.is_enabled() {
-        let sink = Arc::new(MemorySink::new());
-        let telemetry = Telemetry::new(sink.clone());
-        (Some(sink), telemetry)
-    } else {
-        (None, Telemetry::disabled())
-    }
-}
-
-/// One in-thread lease: build a private factory/switch/runner (the same
-/// trio a solo worker owns) and run the shared lease loop over it. The
-/// switch's token, which the runner adopts, is a child of the campaign
-/// token, so campaign or service cancellation interrupts the in-flight
-/// case like a watchdog deadline — and the lease loop discards a verdict
-/// finished *after* the cancellation, because a case interrupted
-/// mid-flight classifies differently than a solo run would.
-fn thread_lease(
-    rt: &CampaignRuntime,
-    indices: &[usize],
-    telemetry: &Telemetry,
-    forward: &mut dyn FnMut(usize, MutantStatus),
-) -> LeaseOutcome {
-    let data = &rt.data;
-    let switch = MutationSwitch::with_cancel_token(data.token.child());
-    let Some((factory, runner)) =
-        build_harness(data.shards.as_ref(), &data.config, telemetry, &switch)
-    else {
-        return LeaseOutcome::SETUP_FAILED;
-    };
-    let engine = Engine::new(&data.suite, &data.mutants, &data.config, &rt.baseline);
-    let harness = Harness {
-        factory: factory.as_ref(),
-        switch: &switch,
-        runner: &runner,
-        telemetry,
-    };
-    engine.run_lease(&harness, indices, &data.token, None, forward)
 }
 
 // ---------------------------------------------------------------------
@@ -684,7 +610,13 @@ impl Fleet {
         let id = CampaignId(self.next_id);
         self.next_id += 1;
         let slot_cfg = SlotConfig::effective(request.slot, &request.config);
-        let campaign_telemetry = request.config.telemetry.clone();
+        let mut config = request.config;
+        if let IsolationMode::Process(spec) = &mut config.isolation {
+            spec.startup_grace = slot_cfg.startup_grace;
+            spec.heartbeat_timeout = slot_cfg.heartbeat_timeout;
+            spec.term_grace = slot_cfg.term_grace;
+        }
+        let campaign_telemetry = config.telemetry.clone();
         let root = campaign_telemetry.span_with("campaign", || format!("{id} {}", request.name));
         let scoped = campaign_telemetry.at(root.id());
         let data = Arc::new(CampaignData {
@@ -692,7 +624,7 @@ impl Fleet {
             shards: request.shards,
             suite: request.suite,
             mutants: request.mutants,
-            config: request.config,
+            config,
             token: self.service_token.child(),
         });
         let campaign = Campaign {
@@ -757,7 +689,6 @@ impl Fleet {
         campaign.active_leases += 1;
         Some(PrepareJob {
             data: campaign.data.clone(),
-            slot_cfg: campaign.slot_cfg,
             telemetry: campaign.telemetry.clone(),
             slots: self.config.slots,
         })
@@ -814,7 +745,12 @@ impl Fleet {
 
     /// Books a campaign's preparation. Everything costly (golden run,
     /// journal I/O, fingerprints) already ran unlocked in [`prepare`].
-    fn handle_prepared(&mut self, id: CampaignId, prepared: Option<Prepared>, events: &[Event]) {
+    fn handle_prepared(
+        &mut self,
+        id: CampaignId,
+        prepared: Option<(CampaignRuntime, CampaignLedger)>,
+        events: &[Event],
+    ) {
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return;
         };
@@ -825,7 +761,7 @@ impl Fleet {
             self.settle(id);
             return;
         }
-        let Some(Prepared { rt, ledger }) = prepared else {
+        let Some((rt, ledger)) = prepared else {
             // The preparation panicked: the subject's harness is broken
             // and every lease would fail the same way.
             campaign.telemetry.incr("mutation.worker_crash");

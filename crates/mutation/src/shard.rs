@@ -32,7 +32,7 @@
 //! [`QuarantineReason`] and the campaign completes without it.
 
 use crate::analysis::{
-    build_runner, run_golden, Engine, Harness, MutantStatus, MutationConfig, PanicSilencer,
+    run_golden, Engine, MutantStatus, MutationConfig, OwnedHarness, PanicSilencer,
     ProcessIsolation, QuarantineReason,
 };
 use crate::enumerate::Mutant;
@@ -216,25 +216,10 @@ pub fn run_shard_worker(
     }
 
     let telemetry = Telemetry::disabled();
-    let switch = MutationSwitch::new();
-    let factory = shards.build_factory(&switch);
-    let runner = build_runner(config, &telemetry, &switch);
-    switch.disarm();
-    let baseline = run_golden(
-        &runner,
-        factory.as_ref(),
-        suite,
-        mutants,
-        config,
-        &telemetry,
-    );
+    let mut harness = OwnedHarness::new(shards, MutationSwitch::new());
+    let harness = harness.harness(config, &telemetry);
+    let baseline = run_golden(&harness, suite, mutants, config);
     let engine = Engine::new(suite, mutants, config, &baseline);
-    let harness = Harness {
-        factory: factory.as_ref(),
-        switch: &switch,
-        runner: &runner,
-        telemetry: &telemetry,
-    };
     // What the lease loop's containment cannot catch — abort, stack
     // overflow, a loop with no checkpoint — is exactly what the process
     // boundary and the supervisor's heartbeat deadline exist for. A
